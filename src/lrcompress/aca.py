@@ -13,7 +13,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import LowRankFactors, argmax_tied_sq, lr_norm_update, working_dtype
+from .linalg import (
+    FactorBuffer,
+    LowRankFactors,
+    argmax_tied_sq,
+    lr_norm_update,
+    working_dtype,
+)
 from .seeding import initial_column_block, make_rng
 
 __all__ = [
@@ -127,8 +133,7 @@ def aca_compress(oracle, config):
     all_rows = np.arange(m)
     all_cols = np.arange(n)
 
-    u_fac = np.zeros((m, 0), dtype=dtype)
-    v_fac = np.zeros((0, n), dtype=dtype)
+    factors = FactorBuffer(m, n, dtype)
     mu = 0.0
     history = ConvergenceHistory()
     used_row_mask = np.zeros(m, dtype=bool)
@@ -141,8 +146,8 @@ def aca_compress(oracle, config):
     for k in range(1, kmax + 1):
         # residuals kept 2-d so the BLAS calls match the blocked variant
         col = oracle.block(all_rows, [j]).astype(dtype, copy=False)
-        if u_fac.shape[1]:
-            col = col - u_fac @ v_fac[:, [j]]
+        if factors.rank:
+            col = col - factors.u @ factors.v[:, [j]]
         col = col.ravel()
 
         avail_rows = np.nonzero(~used_row_mask)[0]
@@ -156,24 +161,22 @@ def aca_compress(oracle, config):
 
         u_k = col / pivot
         row = oracle.block([i], all_cols).astype(dtype, copy=False)
-        if u_fac.shape[1]:
-            row = row - u_fac[[i], :] @ v_fac
+        if factors.rank:
+            row = row - factors.u[[i], :] @ factors.v
         row = row.ravel()
 
         nu = float(np.linalg.norm(u_k) * np.linalg.norm(row))
-        mu = lr_norm_update(u_fac, v_fac, mu, u_k[:, None], row[None, :], nu)
-
-        u_fac = np.hstack([u_fac, u_k[:, None]])
-        v_fac = np.vstack([v_fac, row[None, :]])
+        mu = lr_norm_update(factors.u, factors.v, mu, u_k[:, None], row[None, :], nu)
+        factors.append(u_k[:, None], row[None, :])
         used_row_mask[i] = True
         used_col_mask[j] = True
         history.blocks.append(PivotBlock(rows=(i,), cols=(j,), added=1))
-        history.records.append(IterationRecord(k, u_fac.shape[1], nu, mu))
+        history.records.append(IterationRecord(k, factors.rank, nu, mu))
 
         if nu < config.tol * mu:
             history.termination = CONVERGED
             break
-        if u_fac.shape[1] >= rank_cap:
+        if factors.rank >= rank_cap:
             history.termination = FULL_RANK if rank_cap == kmax else RANK_CAP
             break
 
@@ -183,4 +186,4 @@ def aca_compress(oracle, config):
             break
         j = int(avail_cols[argmax_tied_sq(np.abs(row[avail_cols]) ** 2)])
 
-    return LowRankFactors(u=u_fac, v=v_fac), history
+    return LowRankFactors(u=factors.u, v=factors.v), history

@@ -25,7 +25,14 @@ from .aca import (
     IterationRecord,
     PivotBlock,
 )
-from .linalg import cholesky_upper, lr_recompress, qrcp, working_dtype
+from .linalg import (
+    FactorBuffer,
+    lr_norm,
+    lr_norm_update,
+    lr_recompress,
+    qrcp,
+    working_dtype,
+)
 from .seeding import initial_column_block, make_rng
 
 __all__ = ["BacaConfig", "select_pivot_blocks", "lrid", "baca_compress"]
@@ -144,26 +151,13 @@ def _empty_update(c, r):
     )
 
 
-def _append_and_track(u, v, mu, u_k, v_k):
-    # Grams for the update norm and the mu update sliced out of single
-    # concatenated-factor products.
-    uall = np.hstack([u, u_k])
-    vall = np.vstack([v, v_k])
-    r_old = u.shape[1]
-    gu = uall.conj().T @ u_k
-    gv = vall @ v_k.conj().T
-    try:
-        t1 = cholesky_upper(gu[r_old:, :])
-        t2 = cholesky_upper(gv[r_old:, :])
-        nu = float(np.linalg.norm(t1 @ t2.conj().T))
-    except np.linalg.LinAlgError:
-        ru = np.linalg.qr(u_k, mode="r")
-        rv = np.linalg.qr(v_k.conj().T, mode="r")
-        nu = float(np.linalg.norm(ru @ rv.conj().T))
-    cross = float(np.vdot(gv[:r_old, :], gu[:r_old, :]).real)
-    s = mu * mu + nu * nu + 2.0 * cross
-    mu_new = float(np.sqrt(s)) if s > 0.0 else 0.0
-    return uall, vall, nu, mu_new
+def _append_and_track(factors, mu, u_k, v_k):
+    # update norm nu = ||u_k v_k||_F, then the total norm of the factors
+    # with the update appended; returns (nu, mu)
+    nu = lr_norm(u_k, v_k)
+    mu = lr_norm_update(factors.u, factors.v, mu, u_k, v_k, nu)
+    factors.append(u_k, v_k)
+    return nu, mu
 
 
 def baca_compress(oracle, config):
@@ -194,10 +188,8 @@ def baca_compress(oracle, config):
     rng = make_rng(config.seed)
     rank_cap = min(m, n) if config.max_rank is None else config.max_rank
 
-    u = np.zeros((m, 0), dtype=dtype)
-    v = np.zeros((0, n), dtype=dtype)
+    factors = FactorBuffer(m, n, dtype)
     mu = 0.0
-    rank = 0
     history = ConvergenceHistory()
     used_rows: list[int] = []
     used_cols: list[int] = []
@@ -208,9 +200,9 @@ def baca_compress(oracle, config):
         if cols.size == 0:
             history.termination = EXHAUSTED
             break
-        cols = cols[: min(cols.size, rank_cap - rank)]
+        cols = cols[: min(cols.size, rank_cap - factors.rank)]
         rows, next_cols, c, r, w = select_pivot_blocks(
-            oracle, u, v, cols, used_rows, used_cols, d
+            oracle, factors.u, factors.v, cols, used_rows, used_cols, d
         )
         if rows.size == 0:
             history.termination = EXHAUSTED
@@ -237,21 +229,22 @@ def baca_compress(oracle, config):
         used_rows.extend(int(i) for i in kept_rows)
         used_cols.extend(int(j) for j in kept_cols)
 
-        u, v, nu, mu = _append_and_track(u, v, mu, u_k, v_k)
-        rank += d_k
+        nu, mu = _append_and_track(factors, mu, u_k, v_k)
         history.blocks.append(
             PivotBlock(rows=tuple(int(i) for i in kept_rows),
                        cols=tuple(int(j) for j in kept_cols),
                        added=d_k)
         )
-        history.records.append(IterationRecord(len(history.records) + 1, rank, nu, mu))
+        history.records.append(
+            IterationRecord(len(history.records) + 1, factors.rank, nu, mu)
+        )
 
         if nu < config.tol * mu:
             history.termination = CONVERGED
             break
-        if rank >= rank_cap:
+        if factors.rank >= rank_cap:
             history.termination = FULL_RANK if rank_cap == min(m, n) else RANK_CAP
             break
         cols = next_cols
 
-    return lr_recompress(u, v, config.tol), history
+    return lr_recompress(factors.u, factors.v, config.tol), history

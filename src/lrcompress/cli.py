@@ -60,7 +60,6 @@ class JobConfig:
     seed: int = 0
     workers: int = 1
     verify: bool = False
-    strict: bool = False
     history_out: str | None = None
     summary_out: str | None = None
     verify_cap: int = VERIFY_CAP_DEFAULT
@@ -317,7 +316,6 @@ def _job_from_args(args, algorithm, n_blocks, workers):
         seed=args.seed,
         workers=workers,
         verify=args.verify,
-        strict=getattr(args, "strict", False),
         history_out=getattr(args, "history_out", None),
         summary_out=getattr(args, "summary_out", None),
         verify_cap=args.verify_cap,

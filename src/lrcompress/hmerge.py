@@ -12,6 +12,9 @@ block-id keyed slot.
 
 from __future__ import annotations
 
+import ctypes
+import glob
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -148,16 +151,44 @@ def _leaf_task(oracle, row_range, col_range, cfg):
 _worker_oracle = None
 
 
+def _bundled_openblas():
+    """numpy's bundled OpenBLAS (wheel builds ship it in numpy.libs), or
+    None for a numpy linked against some other BLAS."""
+    libs_dir = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    libs = sorted(glob.glob(os.path.join(libs_dir, "libscipy_openblas64_*.so*")))
+    if not libs:
+        return None
+    try:
+        # already loaded by numpy: this returns a handle to the same copy
+        return ctypes.CDLL(libs[0])
+    except OSError:
+        return None
+
+
+def _limit_blas_threads():
+    # threadpoolctl when installed, else the bundled OpenBLAS's own setter
+    # (the symbol threadpoolctl calls); any other BLAS is left as it is
+    try:
+        from threadpoolctl import threadpool_limits
+    except ImportError:
+        pass
+    else:
+        threadpool_limits(limits=1)
+        return
+    lib = _bundled_openblas()
+    set_threads = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+    if set_threads is None:
+        return
+    set_threads.argtypes = [ctypes.c_int]
+    set_threads.restype = None
+    set_threads(1)
+
+
 def _init_worker(oracle):
     global _worker_oracle
     _worker_oracle = oracle
     # workers already oversubscribe the cores; stop BLAS from multiplying that
-    try:
-        from threadpoolctl import threadpool_limits
-
-        threadpool_limits(limits=1)
-    except ImportError:
-        pass
+    _limit_blas_threads()
 
 
 def _leaf_task_shared(row_range, col_range, cfg):

@@ -211,13 +211,36 @@ def _pairwise_sq(xr, xc):
     return np.maximum(sq, 0.0)
 
 
+def _as_run(idx, extent):
+    """``slice(lo, hi)`` when ``idx`` is a 1-d integer array holding the
+    ascending run lo, lo+1, ..., hi-1 with 0 <= lo and hi <= extent;
+    otherwise ``idx`` as an array, for fancy indexing with its usual
+    shape and IndexError semantics."""
+    idx = np.asarray(idx)
+    if idx.ndim != 1 or idx.size == 0 or idx.dtype.kind not in "iu":
+        return idx
+    lo = int(idx[0])
+    hi = int(idx[-1]) + 1
+    # O(1) rejections first: only a candidate run pays for the diff
+    if lo < 0 or hi > extent or hi - lo != idx.size:
+        return idx
+    if idx.size > 2 and not (np.diff(idx) == 1).all():
+        return idx
+    return slice(lo, hi)
+
+
 class EntryOracle:
     """Implicit matrix: shape, dtype and a pure per-entry evaluator.
 
-    ``block`` is the vectorized access path used by the compressors; the
-    base implementation loops over ``element``. Subclasses override it.
-    Instances are immutable after construction and safe to share across
-    workers.
+    ``block(row_idx, col_idx)`` is the vectorized access path used by the
+    compressors. It receives 1-d integer index arrays and returns the
+    (len(row_idx), len(col_idx)) block as an array the caller owns and may
+    overwrite. The compressors ask for whole rows and columns as
+    ``np.arange`` runs; the oracles here serve an ascending contiguous run
+    by slicing instead of gathering, and a custom oracle can do the same.
+    The base implementation loops over ``element``; subclasses override
+    it. Instances are immutable after construction and safe to share
+    across workers.
     """
 
     rows: int
@@ -265,8 +288,16 @@ class DenseOracle(EntryOracle):
         return self.matrix[i, j]
 
     def block(self, row_idx, col_idx):
-        rows = np.asarray(row_idx).reshape(-1, 1)
-        return self.matrix[rows, np.asarray(col_idx)]
+        rows = np.asarray(row_idx).reshape(-1)
+        cols = np.asarray(col_idx)
+        if cols.ndim == 1 and rows.dtype.kind in "iu" and cols.dtype.kind in "iu":
+            rs, cs = _as_run(rows, self.rows), _as_run(cols, self.cols)
+            if isinstance(rs, slice) and isinstance(cs, slice):
+                # a view would let the caller write into the stored matrix
+                return self.matrix[rs, cs].copy()
+            if isinstance(rs, slice) or isinstance(cs, slice):
+                return self.matrix[rs, cs]
+        return self.matrix[rows.reshape(-1, 1), cols]
 
 
 class KernelOracle(EntryOracle):
@@ -289,8 +320,8 @@ class KernelOracle(EntryOracle):
 
     def block(self, row_idx, col_idx):
         return self.kernel.block(
-            self.row_points[np.asarray(row_idx)],
-            self.col_points[np.asarray(col_idx)],
+            self.row_points[_as_run(row_idx, self.rows)],
+            self.col_points[_as_run(col_idx, self.cols)],
         )
 
 
@@ -314,7 +345,11 @@ class LowRankProductOracle(EntryOracle):
         return self.u[i, :] @ self.v[:, j]
 
     def block(self, row_idx, col_idx):
-        return self.u[np.asarray(row_idx), :] @ self.v[:, np.asarray(col_idx)]
+        # a column gather comes back column-major, which BLAS multiplies in
+        # another order than a slice: make v's block row-major either way so
+        # the values never depend on which path served the indices
+        v = np.ascontiguousarray(self.v[:, _as_run(col_idx, self.cols)])
+        return self.u[_as_run(row_idx, self.rows), :] @ v
 
 
 class SubblockOracle(EntryOracle):

@@ -129,6 +129,53 @@ class LowRankFactors:
         return self.u @ self.v
 
 
+class FactorBuffer:
+    """Accumulated factors ``u`` (m, r) and ``v`` (r, n) of a cross sweep,
+    appended to in place.
+
+    Storage is preallocated with spare capacity that grows by about 1.5x,
+    never beyond min(m, n), so appending one update copies only that update
+    instead of the whole factor pair. ``u`` is kept column-major and ``v``
+    row-major: both views are contiguous, and unused capacity is one
+    untouched tail of each buffer.
+    """
+
+    def __init__(self, m, n, dtype):
+        self.limit = min(m, n)
+        self.rank = 0
+        self._u = np.empty((m, 0), dtype=dtype, order="F")
+        self._v = np.empty((0, n), dtype=dtype)
+
+    @property
+    def capacity(self):
+        return self._v.shape[0]
+
+    @property
+    def u(self):
+        return self._u[:, : self.rank]
+
+    @property
+    def v(self):
+        return self._v[: self.rank]
+
+    def append(self, u_k, v_k):
+        """Append the columns of ``u_k`` (m, k) and rows of ``v_k`` (k, n)."""
+        k = u_k.shape[1]
+        need = self.rank + k
+        if need > self.limit:
+            raise ValueError(f"rank {need} exceeds min(m, n) = {self.limit}")
+        if need > self.capacity:
+            cap = min(self.limit, max(need, self.capacity * 3 // 2, 8))
+            u = np.empty((self._u.shape[0], cap), dtype=self._u.dtype, order="F")
+            v = np.empty((cap, self._v.shape[1]), dtype=self._v.dtype)
+            u[:, : self.rank] = self.u
+            v[: self.rank] = self.v
+            self._u, self._v = u, v
+        self._u[:, self.rank : need] = u_k
+        self._v[self.rank : need] = v_k
+        self.rank = need
+
+
 def _column_norms_sq(a):
     if a.dtype.kind == "c":
         return np.einsum("ij,ij->j", a.real, a.real) + np.einsum(
@@ -339,7 +386,8 @@ def cross_inner(u, v, ubar, vbar):
     small Grams (v @ vbar^H) and (u^H @ ubar)."""
     if u.shape[1] == 0 or ubar.shape[1] == 0:
         return 0.0
-    g1 = u.conj().T @ ubar
+    # conjugate the thin ubar, not a copy of the whole accumulated u
+    g1 = (ubar.conj().T @ u).conj().T
     g2 = v @ vbar.conj().T
     return float(np.vdot(g2, g1).real)
 

@@ -3,7 +3,7 @@ import pytest
 
 from helpers import exact_rank_matrix, rel_fro
 from lrcompress.aca import CONVERGED, DEGENERATE, RANK_CAP, AcaConfig, aca_compress
-from lrcompress.kernels import GaussianKernel, Hankel2DKernel, KernelOracle, dense_oracle, offdiag_oracle, strip_cloud
+from lrcompress.kernels import GaussianKernel, Hankel2DKernel, KernelOracle, dense_oracle, offdiag_oracle, product_of_random_oracle, strip_cloud
 from lrcompress.linalg import lr_norm
 from lrcompress.seeding import initial_column_block, make_rng
 
@@ -115,6 +115,16 @@ def test_complex_hankel_strip_convergence():
     assert history.termination == CONVERGED
     assert factors.rank < oracle.rows / 2
     assert rel_fro(factors.matrix(), oracle.dense()) <= 1e-6
+
+
+def test_repeat_runs_are_bitwise_identical():
+    # rank 40 crosses several factor-buffer growth steps
+    oracle = product_of_random_oracle(120, 40, seed=7)
+    config = AcaConfig(tol=1e-10, seed=3)
+    (a, ha), (b, hb) = aca_compress(oracle, config), aca_compress(oracle, config)
+    assert a.rank in (40, 41)
+    assert ha.records == hb.records and ha.blocks == hb.blocks
+    assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
 
 
 def test_empty_oracle_rejected():

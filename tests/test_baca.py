@@ -197,9 +197,9 @@ class TestBacaCompress:
         seen = []
         real = baca_mod._append_and_track
 
-        def spy(u, v, mu, u_k, v_k):
-            out = real(u, v, mu, u_k, v_k)
-            seen.append((out[0], out[1], out[3]))
+        def spy(factors, mu, u_k, v_k):
+            out = real(factors, mu, u_k, v_k)
+            seen.append((factors.u.copy(), factors.v.copy(), out[1]))
             return out
 
         monkeypatch.setattr(baca_mod, "_append_and_track", spy)

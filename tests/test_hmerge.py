@@ -1,6 +1,9 @@
+import ctypes
+
 import numpy as np
 import pytest
 
+import lrcompress.hmerge as hmerge_mod
 from helpers import rel_fro
 from lrcompress.baca import BacaConfig, baca_compress
 from lrcompress.hmerge import (
@@ -271,6 +274,28 @@ class TestHBaca:
         )
         assert len(diag.degenerate_blocks) == 3
         assert rel_fro(svd.matrix(), a) <= 1e-4
+
+
+def _blas_threads():
+    get = hmerge_mod._bundled_openblas().scipy_openblas_get_num_threads64_
+    get.argtypes = []
+    get.restype = ctypes.c_int
+    return get()
+
+
+class TestWorkerBlasThreads:
+    def test_pool_workers_run_single_threaded_blas(self):
+        lib = hmerge_mod._bundled_openblas()
+        if lib is None or not hasattr(lib, "scipy_openblas_get_num_threads64_"):
+            pytest.skip("numpy does not bundle OpenBLAS with the thread getter")
+        before = _blas_threads()
+        pool = hmerge_mod._Pool(2, product_of_random_oracle(8, 2, seed=1))
+        try:
+            assert pool.map(_blas_threads, [()] * 4) == [1] * 4
+        finally:
+            pool.close()
+        # the pin applies in the workers only
+        assert _blas_threads() == before
 
 
 class TestCostModel:

@@ -3,10 +3,13 @@ import pytest
 
 from helpers import gram_epsilon_rank, j0_series, y0_series
 from lrcompress.kernels import (
+    DenseOracle,
     EntryOracle,
     GaussianKernel,
     GeometryError,
     Hankel2DKernel,
+    KernelOracle,
+    LowRankProductOracle,
     PointCloud,
     PointFileError,
     PolynomialKernel,
@@ -256,3 +259,89 @@ class TestOracleSurface:
         o = offdiag_oracle(Hankel2DKernel(40.0), cloud)
         assert o.dtype == np.complex128
         assert o.dense().dtype == np.complex128
+
+
+class _LoopOracle(EntryOracle):
+    # base-class block: one element call per entry
+    def __init__(self, matrix):
+        self.matrix = matrix
+        self.rows, self.cols = matrix.shape
+        self.dtype = matrix.dtype
+
+    def element(self, i, j):
+        return self.matrix[i, j]
+
+
+def _gather_cases(kind):
+    """(name, oracle, reference) triples; reference(rows, cols) is the
+    oracle's own arithmetic on explicitly fancy-gathered operands."""
+    rng = make_rng(61)
+
+    def draw(shape):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if kind == "complex" else x
+
+    a = draw((12, 10))
+    u, v = draw((12, 3)), draw((3, 10))
+    pts_r, pts_c = rng.random((12, 2)), rng.random((10, 2)) + 2.0
+    kernel = Hankel2DKernel(3.0) if kind == "complex" else GaussianKernel(0.7)
+    lr = LowRankProductOracle(u, v)
+    return [
+        ("dense", DenseOracle(a), lambda r, c: a[np.ix_(r, c)]),
+        ("kernel", KernelOracle(kernel, pts_r, pts_c),
+         lambda r, c: kernel.block(pts_r[r], pts_c[c])),
+        ("lowrank", lr, lambda r, c: u[r, :] @ np.ascontiguousarray(v[:, c])),
+        # reaches the base's last row and column, so one past its end is out
+        ("subblock", lr.subblock(2, 12, 3, 10),
+         lambda r, c: u[r + 2, :] @ np.ascontiguousarray(v[:, c + 3])),
+        ("loop", _LoopOracle(a), lambda r, c: np.array(
+            [[a[i, j] for j in c] for i in r], dtype=a.dtype).reshape(len(r), len(c))),
+    ]
+
+
+_INDEX_SETS = {
+    "full": lambda n: np.arange(n),
+    "partial": lambda n: np.arange(2, n - 3),
+    "single": lambda n: np.array([4]),
+    "empty": lambda n: np.array([], dtype=np.intp),
+    "descending": lambda n: np.arange(n - 2, 1, -1),
+    "duplicated": lambda n: np.array([1, 1, 2, 3]),
+    "int32": lambda n: np.arange(1, n, dtype=np.int32),
+    "negative": lambda n: np.array([-3, -2, -1]),
+}
+
+
+class TestOracleGathers:
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("row_set", sorted(_INDEX_SETS))
+    @pytest.mark.parametrize("col_set", ["full", "partial", "duplicated", "negative"])
+    def test_block_equals_fancy_gather(self, kind, row_set, col_set):
+        for name, oracle, reference in _gather_cases(kind):
+            rows = _INDEX_SETS[row_set](oracle.rows)
+            cols = _INDEX_SETS[col_set](oracle.cols)
+            got = oracle.block(rows, cols)
+            want = reference(rows, cols)
+            assert got.shape == want.shape == (rows.size, cols.size), name
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got, want), name
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_run_one_past_the_end_raises(self, kind):
+        for name, oracle, _ in _gather_cases(kind):
+            with pytest.raises(IndexError):
+                oracle.block(np.arange(1, oracle.rows + 1), np.arange(oracle.cols))
+            with pytest.raises(IndexError):
+                oracle.block(np.arange(oracle.rows), np.arange(1, oracle.cols + 1))
+
+    @pytest.mark.parametrize("rows, cols", [
+        (np.arange(6), np.arange(5)),
+        (np.arange(1, 4), np.arange(2, 5)),
+        (np.arange(6), np.array([0, 3])),
+        (np.array([5, 0]), np.arange(5)),
+    ])
+    def test_dense_block_is_owned_by_the_caller(self, rows, cols):
+        a = make_rng(62).standard_normal((6, 5))
+        oracle = DenseOracle(a.copy())
+        out = oracle.block(rows, cols)
+        out[...] = 0.0
+        assert np.array_equal(oracle.matrix, a)

@@ -3,6 +3,7 @@ import pytest
 
 from helpers import gram_epsilon_rank, random_factors, rel_fro
 from lrcompress.linalg import (
+    FactorBuffer,
     cholesky_upper,
     epsilon_rank,
     lr_norm,
@@ -240,9 +241,9 @@ class TestLrNormUpdate:
         assert got == pytest.approx(2.0 * mu, rel=1e-12)
 
     def test_against_dense_concatenation(self):
-        for seed in range(10):
-            u, v = random_factors(300 + seed, 20, 20, 3)
-            ubar, vbar = random_factors(400 + seed, 20, 20, 2)
+        for seed, complex_ in [(s, c) for s in range(10) for c in (False, True)]:
+            u, v = random_factors(300 + seed, 20, 20, 3, complex_)
+            ubar, vbar = random_factors(400 + seed, 20, 20, 2, complex_)
             mu = lr_norm(u, v)
             nu = lr_norm(ubar, vbar)
             dense = np.linalg.norm(np.hstack([u, ubar]) @ np.vstack([v, vbar]))
@@ -261,6 +262,39 @@ class TestLrNormUpdate:
         nu = lr_norm(ubar, vbar)
         got = lr_norm_update(np.zeros((12, 0)), np.zeros((0, 12)), 0.0, ubar, vbar, nu)
         assert got == pytest.approx(nu, rel=1e-14)
+
+
+class TestFactorBuffer:
+    def test_appends_across_growth_boundaries(self):
+        m, n = 40, 30
+        u, v = random_factors(17, m, n, 30, complex_=True)
+        buf = FactorBuffer(m, n, np.complex128)
+        capacities = []
+        # widths 1, then a block that jumps past the current capacity
+        for lo, hi in [(0, 1), (1, 2), (2, 3), (3, 20), (20, 21), (21, 30)]:
+            buf.append(u[:, lo:hi], v[lo:hi])
+            capacities.append(buf.capacity)
+            assert buf.rank == hi
+            assert np.array_equal(buf.u, u[:, :hi])
+            assert np.array_equal(buf.v, v[:hi])
+            assert buf.rank <= buf.capacity <= min(m, n)
+        assert len(set(capacities)) >= 3
+        assert capacities[-1] == 30
+
+    def test_capacity_never_exceeds_min_dimension(self):
+        buf = FactorBuffer(9, 500, np.float64)
+        for k in range(9):
+            buf.append(np.full((9, 1), k), np.full((1, 500), k))
+            assert buf.capacity <= 9
+        assert np.array_equal(buf.u[0], np.arange(9.0))
+        with pytest.raises(ValueError):
+            buf.append(np.ones((9, 1)), np.ones((1, 500)))
+
+    def test_views_are_contiguous(self):
+        buf = FactorBuffer(16, 12, np.float64)
+        u, v = random_factors(18, 16, 12, 5)
+        buf.append(u, v)
+        assert buf.u.flags.f_contiguous and buf.v.flags.c_contiguous
 
 
 class TestLrRecompress:
