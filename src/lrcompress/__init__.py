@@ -19,6 +19,7 @@ from .hmerge import (
     CostModelParams,
     HBacaDiagnostics,
     IndexTree,
+    LeafRecord,
     build_index_tree,
     cost_model,
     hbaca_compress,

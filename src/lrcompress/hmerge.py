@@ -4,10 +4,13 @@ truncated-SVD merges, and the analytic cost model.
 The matrix is tiled into n_b = 4^L blocks by L-level binary index trees on
 rows and columns. Every leaf block is compressed independently (blocked
 cross approximation), then for each level the sibling blocks are merged
-horizontally and vertically through truncated SVDs of the thin stacked
-factors, never of the dense blocks. Leaf compressions and pair merges form a
-task graph executed on a fixed-size process pool; every task writes one
-block-id keyed slot.
+horizontally and vertically, never through the dense blocks. A merge uses
+that both blocks' bases on the shared side are already orthonormal: one is
+orthogonalized against the other by block classical Gram-Schmidt with one
+reorthogonalization pass (CGS2), and only the small (r1 + r2)-square core
+gets a truncated SVD. Leaf compressions and pair merges form a task graph
+executed on a fixed-size process pool; every task writes one block-id keyed
+slot.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +34,7 @@ __all__ = [
     "IndexTree",
     "BlockSVD",
     "HBacaDiagnostics",
+    "LeafRecord",
     "CostModelParams",
     "build_index_tree",
     "merge_pair_horizontal",
@@ -89,61 +94,110 @@ class BlockSVD:
         return self.svd.rank
 
 
+def _merge_side_by_side(a, b, tol):
+    """Truncated SVD of ``[A, B]`` from the SVDs ``a`` of A and ``b`` of B,
+    two blocks over the same rows.
+
+    ``b.u`` is split by block classical Gram-Schmidt with one
+    reorthogonalization pass (CGS2) into ``a.u @ p`` plus an orthonormal
+    remainder ``q @ r``. Then ``[A, B] = [a.u, q] K blockdiag(a.vt, b.vt)``
+    with the small core ``K = [[diag(sa), p sb], [0, r sb]]``, and only K
+    is decomposed. O(m (ra + rb)^2) for m rows, against a dense SVD of the
+    m x (ra + rb) stacked factor.
+    """
+    ra = a.rank
+    au_h = a.u.conj().T
+    p = au_h @ b.u
+    w = b.u - a.u @ p
+    p2 = au_h @ w
+    w -= a.u @ p2
+    p += p2
+    q, r = np.linalg.qr(w)
+    core = np.zeros((ra + r.shape[0], ra + b.rank), dtype=np.result_type(p, r))
+    core[:ra, :ra] = np.diag(a.sigma)
+    core[:ra, ra:] = p * b.sigma
+    core[ra:, ra:] = r * b.sigma
+    c = truncated_svd(core, tol)
+    u = a.u @ c.u[:ra] + q @ c.u[ra:]
+    vt = np.hstack([c.vt[:, :ra] @ a.vt, c.vt[:, ra:] @ b.vt])
+    return TruncatedSVD(u=u, sigma=c.sigma, vt=vt)
+
+
+def _conj_transpose(svd):
+    # SVD of A^H, with both factors C-contiguous
+    return TruncatedSVD(u=np.ascontiguousarray(svd.vt.conj().T), sigma=svd.sigma,
+                        vt=np.ascontiguousarray(svd.u.conj().T))
+
+
 def merge_pair_horizontal(left, right, tol):
     """Merge two side-by-side blocks sharing a row node into their column
-    parent: truncated SVD of [U1 S1, U2 S2], then V picks up the block
-    diagonal of the old row bases."""
+    parent: the right row basis is orthogonalized against the left one
+    (CGS2), only the small (r1 + r2)-square core is decomposed and
+    truncated at ``tol``, and V picks up the block diagonal of the old
+    column bases."""
     if left.row_node != right.row_node:
         raise ValueError("horizontal merge requires a shared row node")
     lvl, li = left.col_node
     rvl, ri = right.col_node
     if rvl != lvl or ri != li + 1 or li % 2 != 0:
         raise ValueError("horizontal merge requires adjacent sibling column nodes")
-    s1, s2 = left.svd, right.svd
-    r1 = s1.rank
-    ubar = np.hstack([s1.u * s1.sigma, s2.u * s2.sigma])
-    merged = truncated_svd(ubar, tol)
-    vt = np.hstack([merged.vt[:, :r1] @ s1.vt, merged.vt[:, r1:] @ s2.vt])
-    out = TruncatedSVD(u=merged.u, sigma=merged.sigma, vt=vt)
+    out = _merge_side_by_side(left.svd, right.svd, tol)
     return BlockSVD(row_node=left.row_node, col_node=(lvl + 1, li // 2), svd=out)
 
 
 def merge_pair_vertical(top, bottom, tol):
     """Merge two stacked blocks sharing a column node into their row parent:
-    truncated SVD of [S1 V1; S2 V2], then U picks up the block diagonal of
-    the old column bases."""
+    the horizontal merge of the conjugate transposes, ``[A; B] =
+    [A^H, B^H]^H``, so the column bases are orthogonalized and U picks up
+    the block diagonal of the old row bases."""
     if top.col_node != bottom.col_node:
         raise ValueError("vertical merge requires a shared column node")
     lvl, ti = top.row_node
     bvl, bi = bottom.row_node
     if bvl != lvl or bi != ti + 1 or ti % 2 != 0:
         raise ValueError("vertical merge requires adjacent sibling row nodes")
-    s1, s2 = top.svd, bottom.svd
-    r1 = s1.rank
-    vbar = np.vstack([s1.sigma[:, None] * s1.vt, s2.sigma[:, None] * s2.vt])
-    merged = truncated_svd(vbar, tol)
-    u = np.vstack([s1.u @ merged.u[:r1, :], s2.u @ merged.u[r1:, :]])
-    out = TruncatedSVD(u=u, sigma=merged.sigma, vt=merged.vt)
+    merged = _merge_side_by_side(_conj_transpose(top.svd), _conj_transpose(bottom.svd), tol)
+    out = _conj_transpose(merged)
     return BlockSVD(row_node=(lvl + 1, ti // 2), col_node=top.col_node, svd=out)
+
+
+class LeafRecord(NamedTuple):
+    """One leaf compression: BACA iterations, rank accumulated before the
+    final recompression, rank after it, wall seconds and termination."""
+
+    iterations: int
+    rank_accumulated: int
+    rank: int
+    seconds: float
+    termination: str
+
+
+def _leaf_record(svd, history, seconds):
+    accumulated = history.records[-1].rank if history.records else 0
+    return LeafRecord(history.iterations, accumulated, svd.rank, seconds,
+                      history.termination)
 
 
 @dataclass
 class HBacaDiagnostics:
     """Per-level maximum block ranks s_l (index 0 = leaves), per-block ranks
     keyed by (level, row index, col index), leaf blocks that terminated
-    degenerate, and the wall-clock split between the two phases."""
+    degenerate, one ``LeafRecord`` per leaf keyed by (row index, col
+    index), and the wall-clock split between the two phases."""
 
     level_max_rank: list = field(default_factory=list)
     block_ranks: dict = field(default_factory=dict)
     degenerate_blocks: list = field(default_factory=list)
+    leaves: dict = field(default_factory=dict)
     leaf_seconds: float = 0.0
     merge_seconds: float = 0.0
 
 
 def _leaf_task(oracle, row_range, col_range, cfg):
+    t0 = time.perf_counter()
     sub = oracle.subblock(row_range[0], row_range[1], col_range[0], col_range[1])
     svd, history = baca_compress(sub, cfg)
-    return svd, history.termination
+    return svd, _leaf_record(svd, history, time.perf_counter() - t0)
 
 
 # Oracle shared with pool workers through the initializer: shipped once per
@@ -261,6 +315,17 @@ def hbaca_compress(oracle, n_blocks, config, workers=1):
     Returns
     -------
     (TruncatedSVD, HBacaDiagnostics)
+
+    Notes
+    -----
+    Truncation errors compound up the hierarchy. The leaves and each of
+    the 2L merge half-steps (horizontal, then vertical, at each of the L
+    levels) drop singular values below ``config.tol`` relative to the
+    largest one of the block at hand, and the errors of successive steps
+    add. The root's relative error is therefore bounded by roughly the sum
+    over the steps, about (2L + 1) times the error of one truncation at
+    ``config.tol``, not by ``config.tol`` alone; pass a proportionally
+    smaller tolerance when the bound must hold for the whole matrix.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -272,11 +337,13 @@ def hbaca_compress(oracle, n_blocks, config, workers=1):
     if n_blocks == 1:
         t0 = time.perf_counter()
         svd, history = baca_compress(oracle, config)
+        seconds = time.perf_counter() - t0
         diag = HBacaDiagnostics(
             level_max_rank=[svd.rank],
             block_ranks={(0, 0, 0): svd.rank},
             degenerate_blocks=[(0, 0)] if history.termination == DEGENERATE else [],
-            leaf_seconds=time.perf_counter() - t0,
+            leaves={(0, 0): _leaf_record(svd, history, seconds)},
+            leaf_seconds=seconds,
             merge_seconds=0.0,
         )
         return svd, diag
@@ -298,12 +365,13 @@ def hbaca_compress(oracle, n_blocks, config, workers=1):
                 cfg = replace(config, seed=block_seed(config.seed, i * side + j))
                 jobs.append((row_tree.leaves()[i], col_tree.leaves()[j], cfg))
         results = pool.map_leaves(jobs)
-        for (i, j), (svd, termination) in zip(
+        for (i, j), (svd, record) in zip(
             ((i, j) for i in range(side) for j in range(side)), results
         ):
             blocks[(0, i), (0, j)] = BlockSVD((0, i), (0, j), svd)
             diag.block_ranks[(0, i, j)] = svd.rank
-            if termination == DEGENERATE:
+            diag.leaves[i, j] = record
+            if record.termination == DEGENERATE:
                 diag.degenerate_blocks.append((i, j))
         diag.leaf_seconds = time.perf_counter() - t0
         diag.level_max_rank.append(

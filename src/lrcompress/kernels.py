@@ -352,8 +352,26 @@ class LowRankProductOracle(EntryOracle):
         return self.u[_as_run(row_idx, self.rows), :] @ v
 
 
+def _wrap_indices(idx, extent):
+    """``idx`` (an index or an index array) with entries in [-extent, 0)
+    wrapped to ``idx + extent``; IndexError when any entry lies outside
+    [-extent, extent). A run that ``_as_run`` accepts is in bounds by its
+    first and last entries and passes unchanged; anything else is checked
+    through its min and max."""
+    idx = np.asarray(idx)
+    if isinstance(_as_run(idx, extent), slice) or idx.size == 0:
+        return idx
+    lo, hi = idx.min(), idx.max()
+    if lo < -extent or hi >= extent:
+        raise IndexError(f"index out of bounds for extent {extent}")
+    return np.where(idx < 0, idx + extent, idx) if lo < 0 else idx
+
+
 class SubblockOracle(EntryOracle):
-    """Contiguous rectangular restriction of another oracle."""
+    """Contiguous rectangular restriction of another oracle. Indices are
+    relative to the subblock, with the semantics of ``DenseOracle``:
+    entries in [-rows, rows) (columns likewise) wrap, anything else
+    raises IndexError instead of reaching outside the subblock."""
 
     def __init__(self, base, row_lo, row_hi, col_lo, col_hi):
         if not (0 <= row_lo <= row_hi <= base.rows):
@@ -368,11 +386,14 @@ class SubblockOracle(EntryOracle):
         self.dtype = base.dtype
 
     def element(self, i, j):
-        return self.base.element(i + self.row_lo, j + self.col_lo)
+        return self.base.element(
+            _wrap_indices(i, self.rows) + self.row_lo, _wrap_indices(j, self.cols) + self.col_lo
+        )
 
     def block(self, row_idx, col_idx):
         return self.base.block(
-            np.asarray(row_idx) + self.row_lo, np.asarray(col_idx) + self.col_lo
+            _wrap_indices(row_idx, self.rows) + self.row_lo,
+            _wrap_indices(col_idx, self.cols) + self.col_lo,
         )
 
 

@@ -91,3 +91,11 @@ def y0_series(x):
     xd, j0_total, y0_total = _bessel0_series_decimal(x)
     log_term = (xd / 2).ln() + EULER_GAMMA
     return float((2 / PI) * (log_term * j0_total + y0_total))
+
+
+def conj_transposed(svd):
+    """The TruncatedSVD of A^H from that of A, both factors C-contiguous."""
+    from lrcompress.linalg import TruncatedSVD
+
+    return TruncatedSVD(u=np.ascontiguousarray(svd.vt.conj().T), sigma=svd.sigma.copy(),
+                        vt=np.ascontiguousarray(svd.u.conj().T))

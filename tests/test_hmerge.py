@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import lrcompress.hmerge as hmerge_mod
-from helpers import rel_fro
+from helpers import conj_transposed, rel_fro
+from lrcompress.aca import DEGENERATE
 from lrcompress.baca import BacaConfig, baca_compress
 from lrcompress.hmerge import (
     BlockSVD,
@@ -16,7 +17,7 @@ from lrcompress.hmerge import (
     merge_pair_vertical,
 )
 from lrcompress.kernels import dense_oracle, product_of_random_oracle
-from lrcompress.linalg import truncated_svd
+from lrcompress.linalg import TruncatedSVD, truncated_svd
 from lrcompress.seeding import make_rng
 
 
@@ -171,6 +172,111 @@ class TestVerticalMerge:
             assert merged.rank <= r1 + r2
 
 
+def random_svd(rng, m, n, rank, kind):
+    """TruncatedSVD of an m x n matrix of exact rank ``rank``, singular
+    values in [0.1, 1]; complex factors when ``kind == "complex"``."""
+
+    def draw(shape):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if kind == "complex" else x
+
+    u = np.linalg.qr(draw((m, rank)))[0]
+    v = np.linalg.qr(draw((n, rank)))[0]
+    sigma = np.sort(rng.uniform(0.1, 1.0, rank))[::-1]
+    return TruncatedSVD(u=np.ascontiguousarray(u), sigma=sigma,
+                        vt=np.ascontiguousarray(v.conj().T))
+
+
+# (shared extent, rank of the first block, rank of the second block)
+MERGE_CASES = {
+    "unequal_ranks": (40, 3, 7),
+    "ranks_exceed_shared_extent": (10, 8, 9),
+    "first_rank_zero": (30, 0, 5),
+    "second_rank_zero": (30, 6, 0),
+    "both_ranks_zero": (30, 0, 0),
+    "second_basis_inside_first": (30, 6, 4),
+}
+
+
+def merge_pair(case, kind, direction, seed=7):
+    """Two sibling BlockSVDs for ``case`` and the dense matrix they merge
+    into. The shared side (rows of a horizontal pair, columns of a vertical
+    one) has the case's extent; the other sides have 12 and 15."""
+    shared, ra, rb = MERGE_CASES[case]
+    rng = make_rng(seed)
+    a = random_svd(rng, shared, 12, ra, kind)
+    if case == "second_basis_inside_first":
+        # b's basis lies in the span of a's: the remainder is round-off
+        mix = np.linalg.qr(rng.standard_normal((ra, rb)))[0]
+        b = random_svd(rng, shared, 15, rb, kind)
+        b = TruncatedSVD(u=np.ascontiguousarray(a.u @ mix), sigma=b.sigma, vt=b.vt)
+    else:
+        b = random_svd(rng, shared, 15, rb, kind)
+    if direction == "horizontal":
+        first = BlockSVD((1, 2), (0, 2), a)
+        second = BlockSVD((1, 2), (0, 3), b)
+        return first, second, np.hstack([a.matrix(), b.matrix()])
+    first = BlockSVD((0, 4), (2, 1), conj_transposed(a))
+    second = BlockSVD((0, 5), (2, 1), conj_transposed(b))
+    return first, second, np.vstack([first.svd.matrix(), second.svd.matrix()])
+
+
+class TestMergeAgainstDense:
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("direction", ["horizontal", "vertical"])
+    @pytest.mark.parametrize("case", sorted(MERGE_CASES))
+    def test_matches_dense_svd(self, case, kind, direction):
+        first, second, dense = merge_pair(case, kind, direction)
+        merge = merge_pair_horizontal if direction == "horizontal" else merge_pair_vertical
+        merged = merge(first, second, 1e-10)
+        out = merged.svd
+        assert out.shape == dense.shape
+        assert out.u.flags.c_contiguous and out.vt.flags.c_contiguous
+        expected_dtype = np.complex128 if kind == "complex" else np.float64
+        assert out.u.dtype == out.vt.dtype == expected_dtype
+        if direction == "horizontal":
+            assert (merged.row_node, merged.col_node) == ((1, 2), (1, 1))
+        else:
+            assert (merged.row_node, merged.col_node) == ((1, 2), (2, 1))
+
+        sigma = np.linalg.svd(dense, compute_uv=False)
+        if sigma[0] == 0.0:
+            assert out.rank == 0
+            return
+        expected_rank = int(np.sum(sigma >= 1e-10 * sigma[0]))
+        if case == "second_basis_inside_first":
+            assert expected_rank == first.rank
+        assert out.rank == expected_rank
+        assert np.all(np.diff(out.sigma) <= 0.0)
+        assert np.abs(out.sigma - sigma[: out.rank]).max() <= 1e-12 * sigma[0]
+        assert rel_fro(out.matrix(), dense) <= 1e-12
+        eye = np.eye(out.rank)
+        assert np.abs(out.u.conj().T @ out.u - eye).max() <= 1e-12
+        assert np.abs(out.vt @ out.vt.conj().T - eye).max() <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("case", sorted(MERGE_CASES))
+    def test_vertical_is_the_transposed_horizontal_bitwise(self, case, kind):
+        top, bottom, _ = merge_pair(case, kind, "vertical")
+        vertical = merge_pair_vertical(top, bottom, 1e-10).svd
+        horizontal = merge_pair_horizontal(
+            BlockSVD((2, 1), (0, 4), conj_transposed(top.svd)),
+            BlockSVD((2, 1), (0, 5), conj_transposed(bottom.svd)),
+            1e-10,
+        ).svd
+        assert np.array_equal(vertical.u, horizontal.vt.conj().T)
+        assert np.array_equal(vertical.sigma, horizontal.sigma)
+        assert np.array_equal(vertical.vt, horizontal.u.conj().T)
+
+    def test_repeat_merges_are_bitwise_identical(self):
+        first, second, _ = merge_pair("unequal_ranks", "complex", "horizontal")
+        a = merge_pair_horizontal(first, second, 1e-10).svd
+        b = merge_pair_horizontal(first, second, 1e-10).svd
+        assert np.array_equal(a.u, b.u)
+        assert np.array_equal(a.sigma, b.sigma)
+        assert np.array_equal(a.vt, b.vt)
+
+
 class TestHBaca:
     def test_single_block_is_passthrough(self):
         oracle = product_of_random_oracle(40, 6, seed=70)
@@ -225,6 +331,42 @@ class TestHBaca:
         assert rel_fro(s1.matrix(), dense) <= 1e-4
         assert rel_fro(s2.matrix(), dense) <= 1e-4
         assert d1.block_ranks == d2.block_ranks
+
+    def test_leaf_records(self):
+        oracle = product_of_random_oracle(128, 12, seed=97)
+        cfg = BacaConfig(block_size=4, tol=1e-6, seed=4)
+        _, diag = hbaca_compress(oracle, 16, cfg, workers=1)
+        assert sorted(diag.leaves) == [(i, j) for i in range(4) for j in range(4)]
+        for (i, j), leaf in diag.leaves.items():
+            assert leaf.rank == diag.block_ranks[(0, i, j)]
+            assert leaf.rank <= leaf.rank_accumulated
+            assert leaf.iterations >= 1
+            assert leaf.seconds > 0.0
+            assert (leaf.termination == DEGENERATE) == ((i, j) in diag.degenerate_blocks)
+        assert sum(leaf.seconds for leaf in diag.leaves.values()) <= diag.leaf_seconds
+
+    def test_single_block_leaf_record(self):
+        oracle = product_of_random_oracle(40, 6, seed=70)
+        cfg = BacaConfig(block_size=4, tol=1e-8, seed=9)
+        _, history = baca_compress(oracle, cfg)
+        svd, diag = hbaca_compress(oracle, 1, cfg, workers=1)
+        leaf = diag.leaves[0, 0]
+        assert leaf.iterations == history.iterations
+        assert leaf.rank_accumulated == history.records[-1].rank
+        assert leaf.rank == svd.rank
+        assert leaf.termination == history.termination
+
+    def test_parallel_leaf_records_match_serial(self):
+        oracle = product_of_random_oracle(128, 12, seed=91)
+        cfg = BacaConfig(block_size=4, tol=1e-6, seed=2)
+        _, d1 = hbaca_compress(oracle, 16, cfg, workers=1)
+        _, d2 = hbaca_compress(oracle, 16, cfg, workers=2)
+
+        def counts(diag):
+            return {key: (leaf.iterations, leaf.rank_accumulated, leaf.rank, leaf.termination)
+                    for key, leaf in diag.leaves.items()}
+
+        assert counts(d1) == counts(d2)
 
     def test_rectangular_matrix(self):
         rng = make_rng(96)

@@ -261,6 +261,31 @@ class TestOracleSurface:
         assert o.dense().dtype == np.complex128
 
 
+class TestSubblockBounds:
+    def test_element_agrees_with_block(self):
+        a = make_rng(64).standard_normal((12, 10))
+        sub = DenseOracle(a).subblock(2, 9, 3, 8)
+        for i in range(-sub.rows, sub.rows):
+            for j in range(-sub.cols, sub.cols):
+                assert sub.element(i, j) == sub.block([i], [j])[0, 0]
+        assert sub.element(-1, -1) == a[8, 7]
+        for i, j in [(sub.rows, 0), (-sub.rows - 1, 0), (0, sub.cols), (0, -sub.cols - 1)]:
+            with pytest.raises(IndexError):
+                sub.element(i, j)
+
+    def test_middle_subblock_no_longer_reads_its_neighbours(self):
+        sub = product_of_random_oracle(12, 2, seed=66).subblock(2, 9, 3, 8)
+        for rows, cols in [
+            ([sub.rows], [0]),
+            ([0], [sub.cols]),
+            ([-sub.rows - 1], [0]),
+            ([0], [-sub.cols - 1]),
+            (np.array([0, 3, sub.rows]), np.arange(sub.cols)),
+        ]:
+            with pytest.raises(IndexError):
+                sub.block(rows, cols)
+
+
 class _LoopOracle(EntryOracle):
     # base-class block: one element call per entry
     def __init__(self, matrix):
@@ -291,9 +316,10 @@ def _gather_cases(kind):
         ("kernel", KernelOracle(kernel, pts_r, pts_c),
          lambda r, c: kernel.block(pts_r[r], pts_c[c])),
         ("lowrank", lr, lambda r, c: u[r, :] @ np.ascontiguousarray(v[:, c])),
-        # reaches the base's last row and column, so one past its end is out
-        ("subblock", lr.subblock(2, 12, 3, 10),
-         lambda r, c: u[r + 2, :] @ np.ascontiguousarray(v[:, c + 3])),
+        # base entries on every side: only the subblock's own bounds make
+        # negatives wrap inside it and one past its end raise
+        ("subblock", lr.subblock(2, 9, 3, 8),
+         lambda r, c: u[2:9][r, :] @ np.ascontiguousarray(v[:, 3:8][:, c])),
         ("loop", _LoopOracle(a), lambda r, c: np.array(
             [[a[i, j] for j in c] for i in r], dtype=a.dtype).reshape(len(r), len(c))),
     ]
