@@ -9,15 +9,17 @@ that both blocks' bases on the shared side are already orthonormal: one is
 orthogonalized against the other by block classical Gram-Schmidt with one
 reorthogonalization pass (CGS2), and only the small (r1 + r2)-square core
 gets a truncated SVD. Leaf compressions and pair merges form a task graph
-executed on a fixed-size process pool; every task writes one block-id keyed
-slot.
+executed on a fixed-size process pool, or inline for one worker, every task
+on single-threaded BLAS; every task writes one block-id keyed slot.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import glob
 import os
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -194,6 +196,9 @@ class HBacaDiagnostics:
 
 
 def _leaf_task(oracle, row_range, col_range, cfg):
+    # oracle is None inside a pool worker, which holds its own copy
+    if oracle is None:
+        oracle = _worker_oracle
     t0 = time.perf_counter()
     sub = oracle.subblock(row_range[0], row_range[1], col_range[0], col_range[1])
     svd, history = baca_compress(sub, cfg)
@@ -205,9 +210,11 @@ def _leaf_task(oracle, row_range, col_range, cfg):
 _worker_oracle = None
 
 
+@functools.cache
 def _bundled_openblas():
     """numpy's bundled OpenBLAS (wheel builds ship it in numpy.libs), or
-    None for a numpy linked against some other BLAS."""
+    None for a numpy linked against some other BLAS; looked up once per
+    process."""
     libs_dir = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     libs = sorted(glob.glob(os.path.join(libs_dir, "libscipy_openblas64_*.so*")))
     if not libs:
@@ -220,22 +227,61 @@ def _bundled_openblas():
 
 
 def _limit_blas_threads():
-    # threadpoolctl when installed, else the bundled OpenBLAS's own setter
-    # (the symbol threadpoolctl calls); any other BLAS is left as it is
+    """Pin the process's BLAS to one thread; returns a callable that
+    restores the previous thread count.
+
+    Uses threadpoolctl when installed, else the thread setter of numpy's
+    bundled OpenBLAS (the symbol threadpoolctl calls); any other BLAS is
+    left as it is.
+    """
     try:
         from threadpoolctl import threadpool_limits
     except ImportError:
         pass
     else:
-        threadpool_limits(limits=1)
-        return
+        return threadpool_limits(limits=1).restore_original_limits
     lib = _bundled_openblas()
+    get_threads = getattr(lib, "scipy_openblas_get_num_threads64_", None)
     set_threads = getattr(lib, "scipy_openblas_set_num_threads64_", None)
-    if set_threads is None:
-        return
+    if get_threads is None or set_threads is None:
+        return lambda: None
+    get_threads.argtypes = []
+    get_threads.restype = ctypes.c_int
     set_threads.argtypes = [ctypes.c_int]
     set_threads.restype = None
+    before = get_threads()
     set_threads(1)
+    return lambda: set_threads(before)
+
+
+class _SingleThreadedBlas:
+    """Context manager running its body under single-threaded BLAS.
+
+    The thread count is process-wide, so concurrent callers share one pin:
+    the first to enter saves the count and pins it, the last to leave
+    restores it.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._users = 0
+        self._restore = None
+
+    def __enter__(self):
+        with self._lock:
+            if self._users == 0:
+                self._restore = _limit_blas_threads()
+            self._users += 1
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self._users -= 1
+            if self._users == 0:
+                self._restore()
+                self._restore = None
+
+
+_single_threaded_blas = _SingleThreadedBlas()
 
 
 def _init_worker(oracle):
@@ -245,36 +291,27 @@ def _init_worker(oracle):
     _limit_blas_threads()
 
 
-def _leaf_task_shared(row_range, col_range, cfg):
-    return _leaf_task(_worker_oracle, row_range, col_range, cfg)
-
-
 def _noop():
     return None
 
 
 class _Pool:
-    # workers == 1 runs inline (bitwise deterministic); otherwise tasks go to
-    # a process pool and results return in submit order. Workers are spawned
-    # eagerly so pool startup does not pollute the leaf-phase timing.
+    # workers == 1 runs tasks inline; otherwise they go to a process pool
+    # and results return in submit order. Workers are spawned eagerly so
+    # pool startup does not pollute the leaf-phase timing.
 
     def __init__(self, workers, oracle):
-        self.oracle = oracle
         if workers > 1:
             self.pool = ProcessPoolExecutor(
                 max_workers=workers, initializer=_init_worker, initargs=(oracle,)
             )
             for f in [self.pool.submit(_noop) for _ in range(workers)]:
                 f.result()
+            # the oracle argument of a leaf task: workers hold their own copy
+            self.leaf_oracle = None
         else:
             self.pool = None
-
-    def map_leaves(self, jobs):
-        # jobs: (row_range, col_range, cfg)
-        if self.pool is None:
-            return [_leaf_task(self.oracle, *args) for args in jobs]
-        futures = [self.pool.submit(_leaf_task_shared, *args) for args in jobs]
-        return [f.result() for f in futures]
+            self.leaf_oracle = oracle
 
     def map(self, fn, jobs):
         if self.pool is None:
@@ -310,7 +347,11 @@ def hbaca_compress(oracle, n_blocks, config, workers=1):
         Leaf compressor settings; block size 1 gives hierarchical plain
         cross approximation. Leaf seeds derive from (config.seed, block id).
     workers : int
-        Process pool size for leaf and merge tasks.
+        Process pool size for leaf and merge tasks; 1 runs them inline.
+        Every task runs on single-threaded BLAS, so this is the number of
+        cores the call uses, and the result is bitwise identical at every
+        worker count. The caller's BLAS thread count is restored on return
+        or raise; n_blocks=1 runs at that count.
 
     Returns
     -------
@@ -354,63 +395,66 @@ def hbaca_compress(oracle, n_blocks, config, workers=1):
     row_tree = build_index_tree(m, levels)
     col_tree = build_index_tree(n, levels)
 
-    pool = _Pool(workers, oracle)
-    diag = HBacaDiagnostics()
-    blocks = {}
-    try:
-        t0 = time.perf_counter()
-        jobs = []
-        for i in range(side):
-            for j in range(side):
-                cfg = replace(config, seed=block_seed(config.seed, i * side + j))
-                jobs.append((row_tree.leaves()[i], col_tree.leaves()[j], cfg))
-        results = pool.map_leaves(jobs)
-        for (i, j), (svd, record) in zip(
-            ((i, j) for i in range(side) for j in range(side)), results
-        ):
-            blocks[(0, i), (0, j)] = BlockSVD((0, i), (0, j), svd)
-            diag.block_ranks[(0, i, j)] = svd.rank
-            diag.leaves[i, j] = record
-            if record.termination == DEGENERATE:
-                diag.degenerate_blocks.append((i, j))
-        diag.leaf_seconds = time.perf_counter() - t0
-        diag.level_max_rank.append(
-            max(blocks[key].rank for key in blocks) if blocks else 0
-        )
-
-        t1 = time.perf_counter()
-        for level in range(1, levels + 1):
-            rows_below = 2 ** (levels - level + 1)
-            nodes = 2 ** (levels - level)
-            # horizontal half-step: all column-pair merges first
-            jobs = [
-                (blocks[(level - 1, ti), (level - 1, 2 * tj)],
-                 blocks[(level - 1, ti), (level - 1, 2 * tj + 1)],
-                 config.tol)
-                for ti in range(rows_below)
-                for tj in range(nodes)
-            ]
-            for merged in pool.map(merge_pair_horizontal, jobs):
-                blocks[merged.row_node, merged.col_node] = merged
-            # vertical step: row-pair merges on the half-step results
-            jobs = [
-                (blocks[(level - 1, 2 * ti), (level, tj)],
-                 blocks[(level - 1, 2 * ti + 1), (level, tj)],
-                 config.tol)
-                for ti in range(nodes)
-                for tj in range(nodes)
-            ]
-            for merged in pool.map(merge_pair_vertical, jobs):
-                blocks[merged.row_node, merged.col_node] = merged
-                lvl, i = merged.row_node
-                diag.block_ranks[(lvl, i, merged.col_node[1])] = merged.rank
+    # leaf and merge tasks run on single-threaded BLAS, inline as in the pool
+    with _single_threaded_blas:
+        pool = _Pool(workers, oracle)
+        diag = HBacaDiagnostics()
+        blocks = {}
+        try:
+            t0 = time.perf_counter()
+            jobs = []
+            for i in range(side):
+                for j in range(side):
+                    cfg = replace(config, seed=block_seed(config.seed, i * side + j))
+                    jobs.append((pool.leaf_oracle, row_tree.leaves()[i],
+                                 col_tree.leaves()[j], cfg))
+            results = pool.map(_leaf_task, jobs)
+            for (i, j), (svd, record) in zip(
+                ((i, j) for i in range(side) for j in range(side)), results
+            ):
+                blocks[(0, i), (0, j)] = BlockSVD((0, i), (0, j), svd)
+                diag.block_ranks[(0, i, j)] = svd.rank
+                diag.leaves[i, j] = record
+                if record.termination == DEGENERATE:
+                    diag.degenerate_blocks.append((i, j))
+            diag.leaf_seconds = time.perf_counter() - t0
             diag.level_max_rank.append(
-                max(blocks[(level, i), (level, j)].rank
-                    for i in range(nodes) for j in range(nodes))
+                max(blocks[key].rank for key in blocks) if blocks else 0
             )
-        diag.merge_seconds = time.perf_counter() - t1
-    finally:
-        pool.close()
+
+            t1 = time.perf_counter()
+            for level in range(1, levels + 1):
+                rows_below = 2 ** (levels - level + 1)
+                nodes = 2 ** (levels - level)
+                # horizontal half-step: all column-pair merges first
+                jobs = [
+                    (blocks[(level - 1, ti), (level - 1, 2 * tj)],
+                     blocks[(level - 1, ti), (level - 1, 2 * tj + 1)],
+                     config.tol)
+                    for ti in range(rows_below)
+                    for tj in range(nodes)
+                ]
+                for merged in pool.map(merge_pair_horizontal, jobs):
+                    blocks[merged.row_node, merged.col_node] = merged
+                # vertical step: row-pair merges on the half-step results
+                jobs = [
+                    (blocks[(level - 1, 2 * ti), (level, tj)],
+                     blocks[(level - 1, 2 * ti + 1), (level, tj)],
+                     config.tol)
+                    for ti in range(nodes)
+                    for tj in range(nodes)
+                ]
+                for merged in pool.map(merge_pair_vertical, jobs):
+                    blocks[merged.row_node, merged.col_node] = merged
+                    lvl, i = merged.row_node
+                    diag.block_ranks[(lvl, i, merged.col_node[1])] = merged.rank
+                diag.level_max_rank.append(
+                    max(blocks[(level, i), (level, j)].rank
+                        for i in range(nodes) for j in range(nodes))
+                )
+            diag.merge_seconds = time.perf_counter() - t1
+        finally:
+            pool.close()
 
     return blocks[(levels, 0), (levels, 0)].svd, diag
 

@@ -1,9 +1,10 @@
 """Dense rank-revealing primitives and low-rank factor utilities.
 
-QRCP (Householder QR with greedy column pivoting) is implemented directly so
-that pivot tie-breaking, partial-rank early exit and the tolerance stopping
-rule are fully under our control; SVD, unpivoted QR and Cholesky defer to
-LAPACK through numpy. Everything is generic over float64 and complex128:
+QRCP (greedy column pivoting over left-looking classical Gram-Schmidt with
+one reorthogonalization pass, CGS2) is implemented directly so that pivot
+tie-breaking, partial-rank early exit and the tolerance stopping rule are
+fully under our control; SVD, unpivoted QR and Cholesky defer to LAPACK
+through numpy. Everything is generic over float64 and complex128:
 "transpose" means conjugate transpose throughout.
 """
 
@@ -184,48 +185,32 @@ def _column_norms_sq(a):
     return np.einsum("ij,ij->j", a, a)
 
 
-def _householder(x):
-    # Reflector H = I - tau * outer(v, conj(v)) with v[0] == 1 mapping x to
-    # beta * e1; tau == 0 encodes the identity (zero column).
-    v = x.copy()
-    alpha = x[0]
-    norm = np.linalg.norm(x)
-    if norm == 0.0:
-        v[:] = 0.0
-        v[0] = 1.0
-        return x.dtype.type(0.0), v, x.dtype.type(0.0)
-    phase = alpha / abs(alpha) if alpha != 0.0 else 1.0
-    beta = -phase * norm
-    v0 = alpha - beta
-    v /= v0
-    v[0] = 1.0
-    tau = (beta - alpha) / beta
-    return beta, v, tau
+def _norm(x):
+    return float(np.sqrt(np.vdot(x, x).real))
 
 
-def _accumulate_q(r, taus, m, k):
-    # Q = H_0^H H_1^H ... H_{k-1}^H restricted to its first k columns, with
-    # reflector vectors stored below the diagonal of r.
-    q = np.eye(m, k, dtype=r.dtype)
-    for step in range(k - 1, -1, -1):
-        tau = np.conj(taus[step])
-        if tau == 0.0:
-            continue
-        v = np.empty(m - step, dtype=r.dtype)
-        v[0] = 1.0
-        v[1:] = r[step + 1 :, step]
-        w = v.conj() @ q[step:, :]
-        q[step:, :] -= tau * np.outer(v, w)
-    return q
+def _unit_outside(qk):
+    # Unit vector orthogonal to the columns of qk (fewer than its rows): the
+    # coordinate vector with the smallest projection onto their span, that
+    # projection removed in two passes.
+    i = int(np.argmin(_column_norms_sq(qk.T)))
+    x = -(qk @ qk[i].conj())
+    x[i] += 1.0
+    x -= qk @ (x.conj() @ qk).conj()
+    return x / _norm(x)
 
 
 def qrcp(a, rank=None, tol=None, need_q=True):
-    """Householder QR with greedy column pivoting.
+    """Column-pivoted QR by left-looking classical Gram-Schmidt with one
+    reorthogonalization pass (CGS2) on the unmodified input.
 
     Exactly one stopping rule must be given: ``rank`` runs exactly that many
     elimination steps; ``tol`` stops at the smallest i with
-    ``|t[i,i]| <= tol * |t[0,0]|`` (that step excluded). Pivots are chosen by
-    largest running column norm, lowest index among near-ties.
+    ``|t[i,i]| <= tol * |t[0,0]|`` (that step excluded). Each step pivots on
+    the largest running residual column norm (lowest index among near-ties),
+    orthogonalizes that column against the basis built so far and appends
+    the row ``q_i^H a`` to t, which downdates the running norms. The
+    unpivoted tail of ``pivots`` is in ascending order.
 
     Parameters
     ----------
@@ -236,7 +221,7 @@ def qrcp(a, rank=None, tol=None, need_q=True):
         Relative diagonal cutoff.
     need_q : bool
         Pass False when only pivots/t are used; q comes back with zero
-        columns so the reflector accumulation is skipped.
+        columns.
 
     Returns
     -------
@@ -250,53 +235,63 @@ def qrcp(a, rank=None, tol=None, need_q=True):
         raise ValueError(f"rank must be in [0, {min(m, n)}], got {rank}")
 
     kmax = min(m, n) if rank is None else rank
-    r = a.copy()
-    piv = np.arange(n)
-    taus = np.zeros(kmax, dtype=r.dtype)
-    norms2 = _column_norms_sq(r)
-    ref2 = norms2.copy()
+    q = np.empty((m, kmax), dtype=a.dtype, order="F")
+    # row i is q_i^H a, columns in their original order
+    rows = np.zeros((kmax, n), dtype=a.dtype)
+    piv = np.empty(kmax, dtype=np.intp)
+    free = np.ones(n, dtype=bool)
+    norms2 = _column_norms_sq(a)
+    floor2 = DOWNDATE_RTOL**2 * norms2
 
     first_diag = None
     k = 0
     for step in range(kmax):
-        j = step + argmax_tied_sq(norms2[step:])
-        if j != step:
-            r[:, [step, j]] = r[:, [j, step]]
-            piv[[step, j]] = piv[[j, step]]
-            norms2[[step, j]] = norms2[[j, step]]
-            ref2[[step, j]] = ref2[[j, step]]
-
-        beta, v, tau = _householder(r[step:, step].copy())
-        diag = abs(beta)
+        j = argmax_tied_sq(norms2)
+        if not free[j]:
+            # every free norm is zero: the lowest free column
+            j = int(np.argmax(free))
+        qk = q[:, :step]
+        # the first pass reuses the stored coefficients q_i^H a_j
+        x = a[:, j] - qk @ rows[:step, j]
+        first = _norm(x)
+        coef = (x.conj() @ qk).conj()
+        x -= qk @ coef
+        diag = _norm(x)
         if first_diag is None:
             first_diag = diag
         if tol is not None and diag <= tol * first_diag:
             break
 
-        if tau != 0.0 and step + 1 < n:
-            w = v.conj() @ r[step:, step + 1 :]
-            r[step:, step + 1 :] -= tau * np.outer(v, w)
-        r[step, step] = beta
-        r[step + 1 :, step] = v[1:]
-        taus[step] = tau
+        # A second pass that cancels more than half of the first means the
+        # column lies in the span to working precision: x is rounding noise
+        # and any unit vector outside the span serves (Parlett's "twice is
+        # enough").
+        q[:, step] = x / diag if diag > 0.5 * first else _unit_outside(qk)
+        row = np.dot(q[:, step].conj(), a, out=rows[step])
+        rows[:step, j] += coef
+        row[j] = diag
+        piv[step] = j
+        free[j] = False
         k = step + 1
+        if k == kmax:
+            break
 
-        if step + 1 < n:
-            tail = norms2[step + 1 :]
-            tail -= np.abs(r[step, step + 1 :]) ** 2
-            np.maximum(tail, 0.0, out=tail)
-            stale = tail <= DOWNDATE_RTOL**2 * ref2[step + 1 :]
-            if stale.any():
-                cols = np.nonzero(stale)[0] + step + 1
-                fresh = (np.abs(r[step + 1 :, cols]) ** 2).sum(axis=0)
-                norms2[cols] = fresh
-                ref2[cols] = fresh
+        norms2 -= (row * row.conj()).real
+        # a pivoted column is never selected nor refreshed again
+        norms2[j] = floor2[j] = -np.inf
+        # negative or cancelled running norms are recomputed
+        stale = np.flatnonzero(norms2 < floor2)
+        if stale.size:
+            fresh = _column_norms_sq(a[:, stale] - q[:, :k] @ rows[:k, stale])
+            norms2[stale] = fresh
+            floor2[stale] = DOWNDATE_RTOL**2 * fresh
 
-    q = _accumulate_q(r, taus, m, k) if need_q else np.zeros((m, 0), dtype=r.dtype)
-    t = r[:k, :].copy()
+    pivots = np.concatenate([piv[:k], np.flatnonzero(free)])
+    t = rows[:k, pivots]
     for i in range(1, k):
         t[i, :i] = 0.0
-    return QRCPResult(q=q, t=t, pivots=piv, rank=k)
+    q = q[:, :k] if need_q else np.zeros((m, 0), dtype=a.dtype)
+    return QRCPResult(q=q, t=t, pivots=pivots, rank=k)
 
 
 def epsilon_rank(sigma, tol):

@@ -99,3 +99,98 @@ def conj_transposed(svd):
 
     return TruncatedSVD(u=np.ascontiguousarray(svd.vt.conj().T), sigma=svd.sigma.copy(),
                         vt=np.ascontiguousarray(svd.u.conj().T))
+
+
+def _householder(x):
+    # Reflector H = I - tau * outer(v, conj(v)) with v[0] == 1 mapping x to
+    # beta * e1; tau == 0 encodes the identity (zero column).
+    v = x.copy()
+    alpha = x[0]
+    norm = np.linalg.norm(x)
+    if norm == 0.0:
+        v[:] = 0.0
+        v[0] = 1.0
+        return x.dtype.type(0.0), v, x.dtype.type(0.0)
+    phase = alpha / abs(alpha) if alpha != 0.0 else 1.0
+    beta = -phase * norm
+    v /= alpha - beta
+    v[0] = 1.0
+    tau = (beta - alpha) / beta
+    return beta, v, tau
+
+
+def _accumulate_q(r, taus, m, k):
+    # Q = H_0^H H_1^H ... H_{k-1}^H restricted to its first k columns, with
+    # reflector vectors stored below the diagonal of r.
+    q = np.eye(m, k, dtype=r.dtype)
+    for step in range(k - 1, -1, -1):
+        tau = np.conj(taus[step])
+        if tau == 0.0:
+            continue
+        v = np.empty(m - step, dtype=r.dtype)
+        v[0] = 1.0
+        v[1:] = r[step + 1 :, step]
+        w = v.conj() @ q[step:, :]
+        q[step:, :] -= tau * np.outer(v, w)
+    return q
+
+
+def householder_qrcp(a, rank=None, tol=None):
+    """Reference column-pivoted QR: right-looking Householder elimination
+    with column swaps on a working copy, same pivot and stopping rules as
+    ``lrcompress.linalg.qrcp`` (largest running norm, near-ties within
+    TIE_RTOL to the lowest original column index, stale norms recomputed
+    below DOWNDATE_RTOL). Returns a QRCPResult."""
+    from lrcompress.linalg import DOWNDATE_RTOL, TIE_RTOL, QRCPResult
+
+    a = np.asarray(a)
+    a = a.astype(np.complex128 if a.dtype.kind == "c" else np.float64)
+    m, n = a.shape
+    kmax = min(m, n) if rank is None else rank
+    r = a.copy()
+    piv = np.arange(n)
+    taus = np.zeros(kmax, dtype=r.dtype)
+    norms2 = (np.abs(r) ** 2).sum(axis=0)
+    ref2 = norms2.copy()
+
+    first_diag = None
+    k = 0
+    for step in range(kmax):
+        tail = norms2[step:]
+        tied = np.flatnonzero(tail >= tail.max() * (1.0 - 2.0 * TIE_RTOL))
+        j = step + tied[np.argmin(piv[step:][tied])]
+        if j != step:
+            r[:, [step, j]] = r[:, [j, step]]
+            piv[[step, j]] = piv[[j, step]]
+            norms2[[step, j]] = norms2[[j, step]]
+            ref2[[step, j]] = ref2[[j, step]]
+
+        beta, v, tau = _householder(r[step:, step].copy())
+        diag = abs(beta)
+        if first_diag is None:
+            first_diag = diag
+        if tol is not None and diag <= tol * first_diag:
+            break
+
+        if tau != 0.0 and step + 1 < n:
+            w = v.conj() @ r[step:, step + 1 :]
+            r[step:, step + 1 :] -= tau * np.outer(v, w)
+        r[step, step] = beta
+        r[step + 1 :, step] = v[1:]
+        taus[step] = tau
+        k = step + 1
+
+        if step + 1 < n:
+            tail = norms2[step + 1 :]
+            tail -= np.abs(r[step, step + 1 :]) ** 2
+            np.maximum(tail, 0.0, out=tail)
+            stale = tail <= DOWNDATE_RTOL**2 * ref2[step + 1 :]
+            if stale.any():
+                cols = np.nonzero(stale)[0] + step + 1
+                fresh = (np.abs(r[step + 1 :, cols]) ** 2).sum(axis=0)
+                norms2[cols] = fresh
+                ref2[cols] = fresh
+
+    q = _accumulate_q(r, taus, m, k)
+    t = np.triu(r[:k, :])
+    return QRCPResult(q=q, t=t, pivots=piv, rank=k)

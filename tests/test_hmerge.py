@@ -1,10 +1,12 @@
 import ctypes
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 import lrcompress.hmerge as hmerge_mod
-from helpers import conj_transposed, rel_fro
+from helpers import conj_transposed, random_factors, rel_fro
 from lrcompress.aca import DEGENERATE
 from lrcompress.baca import BacaConfig, baca_compress
 from lrcompress.hmerge import (
@@ -16,7 +18,7 @@ from lrcompress.hmerge import (
     merge_pair_horizontal,
     merge_pair_vertical,
 )
-from lrcompress.kernels import dense_oracle, product_of_random_oracle
+from lrcompress.kernels import DenseOracle, dense_oracle, product_of_random_oracle
 from lrcompress.linalg import TruncatedSVD, truncated_svd
 from lrcompress.seeding import make_rng
 
@@ -425,19 +427,114 @@ def _blas_threads():
     return get()
 
 
+@pytest.fixture
+def caller_blas_threads():
+    """Sets the caller's BLAS thread count to 2, a count the single-thread
+    pin has to change and then restore; skips without the OpenBLAS getter."""
+    lib = hmerge_mod._bundled_openblas()
+    if lib is None or not hasattr(lib, "scipy_openblas_get_num_threads64_"):
+        pytest.skip("numpy does not bundle OpenBLAS with the thread getter")
+    set_threads = lib.scipy_openblas_set_num_threads64_
+    set_threads.argtypes = [ctypes.c_int]
+    set_threads.restype = None
+    before = _blas_threads()
+    set_threads(2)
+    try:
+        yield 2
+    finally:
+        set_threads(before)
+
+
+class _ThreadSpyOracle(DenseOracle):
+    # records the BLAS thread count at every block request, and raises at
+    # the first one when told to
+    def __init__(self, matrix, fail=False):
+        super().__init__(matrix)
+        self.fail = fail
+        self.seen = []
+
+    def block(self, row_idx, col_idx):
+        self.seen.append(_blas_threads())
+        if self.fail:
+            raise RuntimeError("leaf oracle failure")
+        return super().block(row_idx, col_idx)
+
+
+def _spy(fail=False):
+    u, v = random_factors(12, 48, 48, 6)
+    return _ThreadSpyOracle(u @ v, fail=fail)
+
+
 class TestWorkerBlasThreads:
-    def test_pool_workers_run_single_threaded_blas(self):
-        lib = hmerge_mod._bundled_openblas()
-        if lib is None or not hasattr(lib, "scipy_openblas_get_num_threads64_"):
-            pytest.skip("numpy does not bundle OpenBLAS with the thread getter")
-        before = _blas_threads()
+    def test_pool_workers_run_single_threaded_blas(self, caller_blas_threads):
         pool = hmerge_mod._Pool(2, product_of_random_oracle(8, 2, seed=1))
         try:
             assert pool.map(_blas_threads, [()] * 4) == [1] * 4
         finally:
             pool.close()
-        # the pin applies in the workers only
-        assert _blas_threads() == before
+        # the pool's own pin applies in the workers only
+        assert _blas_threads() == caller_blas_threads
+
+
+class TestSingleThreadedTasks:
+    def test_inline_tasks_run_single_threaded_and_restore(self, caller_blas_threads):
+        spy = _spy()
+        svd, _ = hbaca_compress(spy, 4, BacaConfig(block_size=4, tol=1e-8, seed=1))
+        assert svd.rank == 6
+        assert spy.seen and set(spy.seen) == {1}
+        assert _blas_threads() == caller_blas_threads
+
+    def test_restored_after_a_raising_leaf_oracle(self, caller_blas_threads):
+        spy = _spy(fail=True)
+        with pytest.raises(RuntimeError, match="leaf oracle failure"):
+            hbaca_compress(spy, 4, BacaConfig(block_size=4, tol=1e-8, seed=1))
+        assert spy.seen == [1]
+        assert _blas_threads() == caller_blas_threads
+
+    def test_single_block_passthrough_keeps_the_caller_count(self, caller_blas_threads):
+        spy = _spy()
+        hbaca_compress(spy, 1, BacaConfig(block_size=4, tol=1e-8, seed=1))
+        assert set(spy.seen) == {caller_blas_threads}
+
+    def test_worker_counts_are_bitwise_identical(self, caller_blas_threads):
+        from lrcompress.kernels import Hankel2DKernel, offdiag_oracle, strip_cloud
+
+        oracle = offdiag_oracle(Hankel2DKernel(300.0), strip_cloud(300.0, 15))
+        cfg = BacaConfig(block_size=8, tol=1e-6, seed=3)
+        a, _ = hbaca_compress(oracle, 16, cfg, workers=1)
+        b, _ = hbaca_compress(oracle, 16, cfg, workers=2)
+        assert a.u.dtype == np.complex128
+        assert np.array_equal(a.u, b.u)
+        assert np.array_equal(a.sigma, b.sigma)
+        assert np.array_equal(a.vt, b.vt)
+
+    def test_concurrent_callers_share_one_pin(self, caller_blas_threads):
+        # the thread count is process-wide: a caller that restored it while
+        # another still ran would let that one see the caller count, and a
+        # lost update of the user count would leave it pinned at 1
+        spies = [_spy() for _ in range(6)]
+        cfg = BacaConfig(block_size=4, tol=1e-8, seed=1)
+        want, _ = hbaca_compress(spies[0], 4, cfg)
+        got = [None] * len(spies)
+
+        def run(k):
+            got[k] = hbaca_compress(spies[k], 4, cfg)[0]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(k,)) for k in range(len(spies))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for spy, svd in zip(spies, got):
+            assert set(spy.seen) == {1}
+            assert np.array_equal(svd.u, want.u) and np.array_equal(svd.vt, want.vt)
+        assert _blas_threads() == caller_blas_threads
 
 
 class TestCostModel:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import gram_epsilon_rank, random_factors, rel_fro
+from helpers import gram_epsilon_rank, householder_qrcp, random_factors, rel_fro
 from lrcompress.linalg import (
     FactorBuffer,
     cholesky_upper,
@@ -102,6 +102,106 @@ class TestQRCP:
             qrcp(a, rank=4)
         with pytest.raises(ValueError):
             qrcp(np.array([[np.nan, 1.0], [0.0, 1.0]]), rank=1)
+
+
+def _qrcp_case(kind, shape, complex_, seed):
+    rng = make_rng(seed)
+
+    def draw(shape):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if complex_ else x
+
+    m, n = shape
+    if kind == "gaussian":
+        return draw(shape)
+    if kind == "graded":
+        k = min(m, n)
+        q1, _ = np.linalg.qr(draw((m, k)))
+        q2, _ = np.linalg.qr(draw((n, k)))
+        return (q1 * 10.0 ** -np.linspace(0.0, 9.0, k)) @ q2.conj().T
+    if kind == "near_parallel":
+        # running norms collapse by ~1e-8 after the first step: stale norms
+        return draw((m, 1)) + 1e-8 * draw(shape)
+    if kind == "duplicated":
+        base = draw((m, max(1, min(m, n) // 2)))
+        return base[:, rng.integers(0, base.shape[1], n)]
+    if kind == "zero_columns":
+        a = draw(shape)
+        a[:, rng.choice(n, n // 3, replace=False)] = 0.0
+        return a
+    raise ValueError(kind)
+
+
+QRCP_KINDS = ["gaussian", "graded", "near_parallel", "duplicated", "zero_columns"]
+QRCP_SHAPES = [(8, 500), (8, 8), (12, 30), (30, 12), (16, 16), (60, 5)]
+
+
+class TestQRCPAgainstHouseholder:
+    """qrcp against the Householder reference in helpers.py: same pivots,
+    rank and |diag(t)| up to the numerical rank."""
+
+    @pytest.mark.parametrize("kind", QRCP_KINDS)
+    @pytest.mark.parametrize("shape", QRCP_SHAPES)
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_pivots_rank_and_diagonal(self, kind, shape, complex_, seed):
+        a = _qrcp_case(kind, shape, complex_, seed)
+        ref = householder_qrcp(a, tol=1e-10)
+        r = ref.rank
+        scale = abs(ref.t[0, 0]) if r else 0.0
+        for got, want in [
+            (qrcp(a, tol=1e-10), ref),
+            (qrcp(a, rank=r), householder_qrcp(a, rank=r)),
+        ]:
+            assert got.rank == want.rank == r
+            assert list(got.pivots[:r]) == list(want.pivots[:r])
+            np.testing.assert_allclose(np.abs(np.diag(got.t)), np.abs(np.diag(want.t)),
+                                       rtol=1e-10, atol=1e-12 * scale)
+            assert sorted(got.pivots) == list(range(shape[1]))
+            assert list(got.pivots[r:]) == sorted(got.pivots[r:])
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_exact_ties_go_to_the_lowest_index(self, complex_):
+        a = _qrcp_case("duplicated", (8, 40), complex_, 3)
+        fac = qrcp(a, tol=1e-10)
+        assert fac.rank == 4
+        for j in fac.selected():
+            twins = np.flatnonzero((a == a[:, [j]]).all(axis=0))
+            assert j == twins[0]
+
+    @pytest.mark.parametrize("kind", QRCP_KINDS)
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_need_q_leaves_pivots_and_t_alone(self, kind, complex_):
+        a = _qrcp_case(kind, (8, 40), complex_, 4)
+        with_q = qrcp(a, rank=8)
+        without = qrcp(a, rank=8, need_q=False)
+        assert np.array_equal(with_q.pivots, without.pivots)
+        assert np.array_equal(with_q.t, without.t)
+        assert without.q.shape == (8, 0)
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            _qrcp_case("duplicated", (8, 20), False, 5),
+            _qrcp_case("duplicated", (20, 8), True, 6),
+            _qrcp_case("near_parallel", (8, 30), True, 7),
+            _qrcp_case("zero_columns", (6, 9), False, 8),
+            # residuals that vanish exactly after the first steps
+            3.0 * np.eye(6)[:, [0, 0, 1, 1, 2, 2]],
+            np.ones((5, 7)),
+            np.outer(np.arange(1.0, 6.0), np.arange(1.0, 9.0)),
+            np.zeros((4, 6), dtype=complex),
+        ],
+    )
+    def test_q_orthonormal_at_every_rank(self, a):
+        m, n = a.shape
+        norm_a = np.linalg.norm(a)
+        for r in range(min(m, n) + 1):
+            fac = qrcp(a, rank=r)
+            assert fac.q.shape == (m, r)
+            assert np.abs(fac.q.conj().T @ fac.q - np.eye(r)).max(initial=0.0) <= 1e-12
+            err = np.linalg.norm(a[:, fac.pivots[:r]] - fac.q @ fac.t[:, :r])
+            assert err <= 1e-12 * norm_a
 
 
 class TestTruncatedSVD:
