@@ -13,7 +13,7 @@ from .aca import (
     aca_compress,
 )
 from .baca import BacaConfig, baca_compress, lrid, select_pivot_blocks
-from .bessel import bessel_j0, bessel_y0, hankel2_0
+from .bessel import bessel_j0, bessel_y0
 from .hmerge import (
     BlockSVD,
     CostModelParams,

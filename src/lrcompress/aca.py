@@ -1,9 +1,14 @@
-"""Partially-pivoted adaptive cross approximation.
+"""Partially-pivoted adaptive cross approximation, and the sweep engine it
+shares with the blocked variant.
 
 One residual column/row pair is eliminated per iteration: the row pivot is
 the largest remaining entry of the current residual column, the next column
-pivot the largest remaining entry of the residual row. The running update
-norm nu and total norm mu drive the nu < eps * mu stopping test.
+pivot the largest remaining entry of the residual row. ``_Sweep`` holds what
+the plain and blocked sweeps have in common (shape checks, the accumulated
+factors and their running norm mu, the used-row and used-column masks, the
+history and the stopping tests); the two differ only in how they select
+pivots and form each update. The running update norm nu and total norm mu
+drive the nu < eps * mu stopping test.
 """
 
 from __future__ import annotations
@@ -89,6 +94,14 @@ class ConvergenceHistory:
         return [j for b in self.blocks for j in b.cols]
 
 
+def _check_config(config):
+    # the tolerance and rank-cap rules both sweep configs share
+    if not 0.0 < config.tol < 1.0:
+        raise ValueError(f"tol must be in (0, 1), got {config.tol}")
+    if config.max_rank is not None and config.max_rank < 1:
+        raise ValueError("max_rank must be positive when given")
+
+
 @dataclass(frozen=True)
 class AcaConfig:
     """Tolerance, seed for the starting column, optional rank cap and the
@@ -100,10 +113,82 @@ class AcaConfig:
     zero_pivot_threshold: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 < self.tol < 1.0:
-            raise ValueError(f"tol must be in (0, 1), got {self.tol}")
-        if self.max_rank is not None and self.max_rank < 1:
-            raise ValueError("max_rank must be positive when given")
+        _check_config(self)
+
+
+def residual_columns(oracle, u, v, cols):
+    """Columns ``cols`` of the residual ``A - u v`` in the working dtype,
+    (m, len(cols))."""
+    c = oracle.block(np.arange(oracle.rows), cols).astype(
+        working_dtype(oracle.dtype), copy=False)
+    if u.shape[1]:
+        c = c - u @ v[:, cols]
+    return c
+
+
+def residual_rows(oracle, u, v, rows):
+    """Rows ``rows`` of the residual ``A - u v`` in the working dtype,
+    (len(rows), n)."""
+    r = oracle.block(rows, np.arange(oracle.cols)).astype(
+        working_dtype(oracle.dtype), copy=False)
+    if u.shape[1]:
+        r = r - u[rows, :] @ v
+    return r
+
+
+class _Sweep:
+    """State of one cross sweep: the accumulated factors and their norm mu,
+    masks of the rows and columns pivoted on so far, the seeded generator
+    and the history. The sweep picks its pivots and forms each update;
+    ``append`` accepts the update and applies the stopping tests.
+
+    ``config`` is an AcaConfig or a BacaConfig: only ``tol``, ``seed`` and
+    ``max_rank`` are read.
+    """
+
+    def __init__(self, oracle, config):
+        m, n = oracle.rows, oracle.cols
+        if m == 0 or n == 0:
+            raise ValueError("oracle must be nonempty")
+        self.kmax = min(m, n)
+        if config.max_rank is not None and config.max_rank > self.kmax:
+            raise ValueError("max_rank exceeds min(m, n)")
+        self.rank_cap = self.kmax if config.max_rank is None else config.max_rank
+        self.tol = config.tol
+        self.rng = make_rng(config.seed)
+        self.factors = FactorBuffer(m, n, working_dtype(oracle.dtype))
+        self.mu = 0.0
+        self.used_rows = np.zeros(m, dtype=bool)
+        self.used_cols = np.zeros(n, dtype=bool)
+        self.history = ConvergenceHistory()
+
+    def append(self, rows, cols, u_k, v_k, nu):
+        """Accept the update ``u_k @ v_k`` of norm ``nu``, pivoted on the
+        index sequences ``rows`` and ``cols``: update mu, append the
+        factors, mark the pivots and record the iteration. Returns True,
+        with the termination set, when the sweep stops."""
+        factors = self.factors
+        self.mu = lr_norm_update(factors.u, factors.v, self.mu, u_k, v_k, nu)
+        factors.append(u_k, v_k)
+        self.used_rows[rows] = True
+        self.used_cols[cols] = True
+        history = self.history
+        history.blocks.append(PivotBlock(rows=tuple(int(i) for i in rows),
+                                         cols=tuple(int(j) for j in cols),
+                                         added=len(rows)))
+        history.records.append(
+            IterationRecord(len(history.records) + 1, factors.rank, nu, self.mu))
+
+        if nu < self.tol * self.mu:
+            return self.stop(CONVERGED)
+        if factors.rank >= self.rank_cap:
+            return self.stop(FULL_RANK if self.rank_cap == self.kmax else RANK_CAP)
+        return False
+
+    def stop(self, reason):
+        """End the sweep with termination ``reason``; returns True."""
+        self.history.termination = reason
+        return True
 
 
 def aca_compress(oracle, config):
@@ -122,68 +207,33 @@ def aca_compress(oracle, config):
         Row pivots are scaled to 1 at the cross, so u holds the scaled
         residual columns and v the raw residual rows.
     """
-    m, n = oracle.rows, oracle.cols
-    if m == 0 or n == 0:
-        raise ValueError("oracle must be nonempty")
-    if config.max_rank is not None and config.max_rank > min(m, n):
-        raise ValueError("max_rank exceeds min(m, n)")
-
-    dtype = working_dtype(oracle.dtype)
-    rng = make_rng(config.seed)
-    all_rows = np.arange(m)
-    all_cols = np.arange(n)
-
-    factors = FactorBuffer(m, n, dtype)
-    mu = 0.0
-    history = ConvergenceHistory()
-    used_row_mask = np.zeros(m, dtype=bool)
-    used_col_mask = np.zeros(n, dtype=bool)
+    sweep = _Sweep(oracle, config)
+    factors = sweep.factors
     max_pivot = 0.0
-    kmax = min(m, n)
-    rank_cap = kmax if config.max_rank is None else config.max_rank
 
-    j = int(initial_column_block(rng, n, 1)[0])
-    for k in range(1, kmax + 1):
+    j = int(initial_column_block(sweep.rng, oracle.cols, 1)[0])
+    while True:
         # residuals kept 2-d so the BLAS calls match the blocked variant
-        col = oracle.block(all_rows, [j]).astype(dtype, copy=False)
-        if factors.rank:
-            col = col - factors.u @ factors.v[:, [j]]
-        col = col.ravel()
-
-        avail_rows = np.nonzero(~used_row_mask)[0]
+        col = residual_columns(oracle, factors.u, factors.v, [j]).ravel()
+        avail_rows = np.flatnonzero(~sweep.used_rows)
         i = int(avail_rows[argmax_tied_sq(np.abs(col[avail_rows]) ** 2)])
         pivot = col[i]
         threshold = max(config.zero_pivot_threshold, PIVOT_RTOL * max_pivot)
         if abs(pivot) <= threshold:
-            history.termination = DEGENERATE
+            sweep.stop(DEGENERATE)
             break
         max_pivot = max(max_pivot, abs(pivot))
 
         u_k = col / pivot
-        row = oracle.block([i], all_cols).astype(dtype, copy=False)
-        if factors.rank:
-            row = row - factors.u[[i], :] @ factors.v
-        row = row.ravel()
-
+        row = residual_rows(oracle, factors.u, factors.v, [i]).ravel()
         nu = float(np.linalg.norm(u_k) * np.linalg.norm(row))
-        mu = lr_norm_update(factors.u, factors.v, mu, u_k[:, None], row[None, :], nu)
-        factors.append(u_k[:, None], row[None, :])
-        used_row_mask[i] = True
-        used_col_mask[j] = True
-        history.blocks.append(PivotBlock(rows=(i,), cols=(j,), added=1))
-        history.records.append(IterationRecord(k, factors.rank, nu, mu))
-
-        if nu < config.tol * mu:
-            history.termination = CONVERGED
-            break
-        if factors.rank >= rank_cap:
-            history.termination = FULL_RANK if rank_cap == kmax else RANK_CAP
+        if sweep.append([i], [j], u_k[:, None], row[None, :], nu):
             break
 
-        avail_cols = np.nonzero(~used_col_mask)[0]
+        avail_cols = np.flatnonzero(~sweep.used_cols)
         if avail_cols.size == 0:
-            history.termination = EXHAUSTED
+            sweep.stop(EXHAUSTED)
             break
         j = int(avail_cols[argmax_tied_sq(np.abs(row[avail_cols]) ** 2)])
 
-    return LowRankFactors(u=factors.u, v=factors.v), history
+    return LowRankFactors(u=factors.u, v=factors.v), sweep.history

@@ -1,5 +1,4 @@
-"""Bessel functions J0 and Y0 and the order-zero Hankel function of the
-second kind, vectorized over float64 arrays.
+"""Bessel functions J0 and Y0, vectorized over float64 arrays.
 
 The domain splits at x = 5: below, rational approximations in x^2 (plus the
 logarithmic term for Y0); above, the Hankel asymptotic form with two rational
@@ -10,7 +9,7 @@ absolute error is a few 1e-15 on [0, 30].
 
 import numpy as np
 
-__all__ = ["bessel_j0", "bessel_y0", "hankel2_0"]
+__all__ = ["bessel_j0", "bessel_y0"]
 
 PIO4 = 7.85398163397448309616e-1
 SQ2OPI = 7.9788456080286535587989e-1
@@ -160,8 +159,3 @@ def bessel_y0(x):
         w, p, q, xn, factor = _asymptotic(x[large])
         out[large] = factor * (p * np.sin(xn) + w * q * np.cos(xn))
     return out[0] if scalar else out
-
-
-def hankel2_0(x):
-    """Order-zero Hankel function of the second kind, J0(x) - i Y0(x)."""
-    return bessel_j0(x) - 1j * bessel_y0(x)

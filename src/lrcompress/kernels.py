@@ -136,8 +136,17 @@ def load_dense_matrix(path):
     return a
 
 
+class _Kernel:
+    """Kernel functions evaluate blocks, ``block(xr, xc)`` over the rows of
+    two point arrays; ``element`` is the 1 x 1 block, so the scalar and the
+    vectorized paths cannot drift apart."""
+
+    def element(self, xi, xj):
+        return self.block(np.asarray(xi)[None, :], np.asarray(xj)[None, :])[0, 0].item()
+
+
 @dataclass(frozen=True)
-class GaussianKernel:
+class GaussianKernel(_Kernel):
     """exp(-||xi - xj||^2 / (2 h^2)) with width h."""
 
     width: float
@@ -148,32 +157,25 @@ class GaussianKernel:
 
     dtype = np.float64
 
-    def element(self, xi, xj):
-        d = xi - xj
-        return float(np.exp(-(d @ d) / (2.0 * self.width**2)))
-
     def block(self, xr, xc):
         sq = _pairwise_sq(xr, xc)
         return np.exp(-sq / (2.0 * self.width**2))
 
 
 @dataclass(frozen=True)
-class PolynomialKernel:
+class PolynomialKernel(_Kernel):
     """(xi . xj + h)^2 with regularization h."""
 
     shift: float
 
     dtype = np.float64
 
-    def element(self, xi, xj):
-        return float((xi @ xj + self.shift) ** 2)
-
     def block(self, xr, xc):
         return (xr @ xc.T + self.shift) ** 2
 
 
 @dataclass(frozen=True)
-class Hankel2DKernel:
+class Hankel2DKernel(_Kernel):
     """Order-zero second-kind Hankel function of k * distance,
     J0(kr) - i Y0(kr); coincident points are rejected."""
 
@@ -185,14 +187,6 @@ class Hankel2DKernel:
 
     dtype = np.complex128
 
-    def element(self, xi, xj):
-        d = xi - xj
-        r = float(np.sqrt(d @ d))
-        if r == 0.0:
-            raise GeometryError("coincident points in Hankel kernel")
-        kr = self.wavenumber * r
-        return complex(bessel_j0(kr) - 1j * bessel_y0(kr))
-
     def block(self, xr, xc):
         r = np.sqrt(_pairwise_sq(xr, xc))
         if (r == 0.0).any():
@@ -202,13 +196,12 @@ class Hankel2DKernel:
 
 
 def _pairwise_sq(xr, xc):
-    # ||a||^2 + ||b||^2 - 2 a.b, clamped against cancellation
-    sq = (
-        (xr**2).sum(axis=1)[:, None]
-        + (xc**2).sum(axis=1)[None, :]
-        - 2.0 * (xr @ xc.T)
-    )
-    return np.maximum(sq, 0.0)
+    # summed squared per-coordinate differences: exactly 0 for coincident
+    # points, where ||a||^2 + ||b||^2 - 2 a.b leaves a rounding residue
+    sq = np.subtract.outer(xr[:, 0], xc[:, 0]) ** 2
+    for k in range(1, xr.shape[1]):
+        sq += np.subtract.outer(xr[:, k], xc[:, k]) ** 2
+    return sq
 
 
 def _as_run(idx, extent):

@@ -200,7 +200,7 @@ def _unit_outside(qk):
     return x / _norm(x)
 
 
-def qrcp(a, rank=None, tol=None, need_q=True):
+def qrcp(a, rank=None, tol=None):
     """Column-pivoted QR by left-looking classical Gram-Schmidt with one
     reorthogonalization pass (CGS2) on the unmodified input.
 
@@ -219,9 +219,6 @@ def qrcp(a, rank=None, tol=None, need_q=True):
         Fixed step count, 0 <= rank <= min(m, n).
     tol : float, optional
         Relative diagonal cutoff.
-    need_q : bool
-        Pass False when only pivots/t are used; q comes back with zero
-        columns.
 
     Returns
     -------
@@ -290,8 +287,7 @@ def qrcp(a, rank=None, tol=None, need_q=True):
     t = rows[:k, pivots]
     for i in range(1, k):
         t[i, :i] = 0.0
-    q = q[:, :k] if need_q else np.zeros((m, 0), dtype=a.dtype)
-    return QRCPResult(q=q, t=t, pivots=pivots, rank=k)
+    return QRCPResult(q=q[:, :k], t=t, pivots=pivots, rank=k)
 
 
 def epsilon_rank(sigma, tol):

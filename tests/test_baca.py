@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-import lrcompress.baca as baca_mod
+import lrcompress.aca as aca_mod
 from helpers import exact_rank_matrix, gram_epsilon_rank, rel_fro
 from lrcompress.aca import CONVERGED, DEGENERATE, EXHAUSTED, AcaConfig, aca_compress
 from lrcompress.baca import BacaConfig, baca_compress, lrid, select_pivot_blocks
@@ -14,13 +14,19 @@ def empty_factors(m, n):
     return np.zeros((m, 0)), np.zeros((0, n))
 
 
+def mask(size, used=()):
+    out = np.zeros(size, dtype=bool)
+    out[list(used)] = True
+    return out
+
+
 class TestSelectPivotBlocks:
     def test_block_size_one_matches_argmax(self):
         a = make_rng(1).standard_normal((12, 10))
         o = dense_oracle(a)
         u, v = empty_factors(12, 10)
         j = 4
-        rows, next_cols, c, r, w = select_pivot_blocks(o, u, v, [j], [], [], 1)
+        rows, next_cols, c, r, w = select_pivot_blocks(o, u, v, [j], mask(12), mask(10), 1)
         i_expect = argmax_tied_sq(np.abs(a[:, j]) ** 2)
         assert list(rows) == [i_expect]
         mags = np.abs(a[i_expect, :]) ** 2
@@ -35,17 +41,21 @@ class TestSelectPivotBlocks:
         a = make_rng(2).standard_normal((10, 10))
         o = dense_oracle(a)
         u, v = empty_factors(10, 10)
+        used_rows, used_cols = mask(10, [3, 4]), mask(10, [5])
         rows, next_cols, _, _, _ = select_pivot_blocks(
-            o, u, v, [0, 1], used_rows=[3, 4], used_cols=[5], d=2
+            o, u, v, [0, 1], used_rows=used_rows, used_cols=used_cols, d=2
         )
         assert not set(rows) & {3, 4}
         assert not set(next_cols) & {5, 0, 1}
+        # the caller's masks are read, never written
+        assert np.array_equal(used_rows, mask(10, [3, 4]))
+        assert np.array_equal(used_cols, mask(10, [5]))
         assert len(rows) == 2 and len(next_cols) == 2
 
     def test_zero_oracle_first_iteration(self):
         o = dense_oracle(np.zeros((8, 8)))
         u, v = empty_factors(8, 8)
-        rows, next_cols, c, r, w = select_pivot_blocks(o, u, v, [0, 1, 2], [], [], 3)
+        rows, next_cols, c, r, w = select_pivot_blocks(o, u, v, [0, 1, 2], mask(8), mask(8), 3)
         assert np.array_equal(c, np.zeros((8, 3)))
         assert np.array_equal(w, np.zeros((3, 3)))
         # ties on zero norms resolve to the lowest indices
@@ -58,7 +68,7 @@ class TestSelectPivotBlocks:
         o = dense_oracle(a)
         u, v = empty_factors(16, 16)
         cols = [2, 5, 9, 14]
-        rows, _, c, r, w = select_pivot_blocks(o, u, v, cols, [], [], 4)
+        rows, _, c, r, w = select_pivot_blocks(o, u, v, cols, mask(16), mask(16), 4)
         sigma = np.linalg.svd(w, compute_uv=False)
         assert sigma[-1] > 1e-8 * sigma[0]
         u_k, v_k, d_k, _ = lrid(c, w, r, 1e-10)
@@ -69,7 +79,7 @@ class TestSelectPivotBlocks:
         o = dense_oracle(a)
         u, v = empty_factors(6, 6)
         rows, next_cols, _, _, _ = select_pivot_blocks(
-            o, u, v, [0], used_rows=[0, 1, 2, 3], used_cols=[1, 2, 3, 4], d=4
+            o, u, v, [0], used_rows=mask(6, [0, 1, 2, 3]), used_cols=mask(6, [1, 2, 3, 4]), d=4
         )
         assert len(rows) == 1  # one column in the block bounds the row picks
         assert set(next_cols) == {5}
@@ -195,14 +205,14 @@ class TestBacaCompress:
 
     def test_norm_tracking_against_accumulated_factors(self, monkeypatch):
         seen = []
-        real = baca_mod._append_and_track
+        real = aca_mod._Sweep.append
 
-        def spy(factors, mu, u_k, v_k):
-            out = real(factors, mu, u_k, v_k)
-            seen.append((factors.u.copy(), factors.v.copy(), out[1]))
+        def spy(sweep, rows, cols, u_k, v_k, nu):
+            out = real(sweep, rows, cols, u_k, v_k, nu)
+            seen.append((sweep.factors.u.copy(), sweep.factors.v.copy(), sweep.mu))
             return out
 
-        monkeypatch.setattr(baca_mod, "_append_and_track", spy)
+        monkeypatch.setattr(aca_mod._Sweep, "append", spy)
         a = make_rng(23).standard_normal((30, 30))
         baca_compress(dense_oracle(a), BacaConfig(block_size=4, tol=1e-6, seed=1))
         assert seen
@@ -250,3 +260,6 @@ class TestBacaCompress:
             BacaConfig(block_size=0, tol=1e-6)
         with pytest.raises(ValueError):
             BacaConfig(block_size=2, tol=2.0)
+        for max_rank in (0, -1):
+            with pytest.raises(ValueError):
+                BacaConfig(block_size=4, tol=1e-6, max_rank=max_rank)

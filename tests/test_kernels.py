@@ -20,6 +20,7 @@ from lrcompress.kernels import (
     random_cloud,
     strip_cloud,
 )
+from lrcompress.kernels import _pairwise_sq
 from lrcompress.linalg import truncated_svd
 from lrcompress.seeding import make_rng
 
@@ -51,6 +52,13 @@ class TestKernelValues:
             k.element(x, x.copy())
         with pytest.raises(GeometryError):
             k.block(np.array([[1.0, 2.0]]), np.array([[1.0, 2.0], [0.0, 0.0]]))
+        # |a|^2 + |b|^2 - 2 a.b leaves a rounding residue for this point
+        # paired with itself; per-coordinate differences give exactly 0
+        x = np.array([[543.62499147, 935.07242379]])
+        with pytest.raises(GeometryError):
+            k.block(x, x.copy())
+        pts = make_rng(11).random((300, 2)) * 1000.0
+        assert not _pairwise_sq(pts, pts).diagonal().any()
 
     @pytest.mark.parametrize("kernel", [GaussianKernel(0.5), PolynomialKernel(0.2)])
     def test_exact_symmetry(self, kernel):
@@ -84,6 +92,12 @@ class TestKernelValues:
         for i in range(7):
             for j in range(9):
                 assert blk[i, j] == pytest.approx(k.element(xr[i, :2], xc[j, :2]), rel=1e-12)
+        # element is the 1 x 1 block, bit for bit
+        for kernel in (GaussianKernel(0.8), PolynomialKernel(0.3), k):
+            oracle = KernelOracle(kernel, xr[:, :2], xc[:, :2])
+            for i in range(7):
+                for j in range(9):
+                    assert oracle.element(i, j) == oracle.block([i], [j])[0, 0]
 
     def test_gaussian_entries_in_unit_interval(self):
         rng = make_rng(4)

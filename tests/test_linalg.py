@@ -171,13 +171,17 @@ class TestQRCPAgainstHouseholder:
 
     @pytest.mark.parametrize("kind", QRCP_KINDS)
     @pytest.mark.parametrize("complex_", [False, True])
-    def test_need_q_leaves_pivots_and_t_alone(self, kind, complex_):
+    def test_fixed_rank_returns_q_and_leaves_input_alone(self, kind, complex_):
+        # the wide fixed-rank call select_pivot_blocks makes: Q always comes
+        # back with rank columns in the input's dtype, and the input is unchanged
         a = _qrcp_case(kind, (8, 40), complex_, 4)
-        with_q = qrcp(a, rank=8)
-        without = qrcp(a, rank=8, need_q=False)
-        assert np.array_equal(with_q.pivots, without.pivots)
-        assert np.array_equal(with_q.t, without.t)
-        assert without.q.shape == (8, 0)
+        keep = a.copy()
+        fac = qrcp(a, rank=8)
+        assert np.array_equal(a, keep)
+        assert fac.q.shape == (8, 8) and fac.q.dtype == a.dtype
+        assert np.abs(fac.q.conj().T @ fac.q - np.eye(8)).max() <= 1e-12
+        err = np.linalg.norm(a[:, fac.pivots] - fac.q @ fac.t)
+        assert err <= 1e-12 * np.linalg.norm(a)
 
     @pytest.mark.parametrize(
         "a",
