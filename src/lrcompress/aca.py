@@ -18,6 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .kernels import full_range
 from .linalg import (
     FactorBuffer,
     LowRankFactors,
@@ -119,7 +120,7 @@ class AcaConfig:
 def residual_columns(oracle, u, v, cols):
     """Columns ``cols`` of the residual ``A - u v`` in the working dtype,
     (m, len(cols))."""
-    c = oracle.block(np.arange(oracle.rows), cols).astype(
+    c = oracle.block(full_range(oracle.rows), cols).astype(
         working_dtype(oracle.dtype), copy=False)
     if u.shape[1]:
         c = c - u @ v[:, cols]
@@ -129,7 +130,7 @@ def residual_columns(oracle, u, v, cols):
 def residual_rows(oracle, u, v, rows):
     """Rows ``rows`` of the residual ``A - u v`` in the working dtype,
     (len(rows), n)."""
-    r = oracle.block(rows, np.arange(oracle.cols)).astype(
+    r = oracle.block(rows, full_range(oracle.cols)).astype(
         working_dtype(oracle.dtype), copy=False)
     if u.shape[1]:
         r = r - u[rows, :] @ v
@@ -214,7 +215,7 @@ def aca_compress(oracle, config):
     j = int(initial_column_block(sweep.rng, oracle.cols, 1)[0])
     while True:
         # residuals kept 2-d so the BLAS calls match the blocked variant
-        col = residual_columns(oracle, factors.u, factors.v, [j]).ravel()
+        col = residual_columns(oracle, factors.u, factors.v, np.array([j])).ravel()
         avail_rows = np.flatnonzero(~sweep.used_rows)
         i = int(avail_rows[argmax_tied_sq(np.abs(col[avail_rows]) ** 2)])
         pivot = col[i]
@@ -225,7 +226,7 @@ def aca_compress(oracle, config):
         max_pivot = max(max_pivot, abs(pivot))
 
         u_k = col / pivot
-        row = residual_rows(oracle, factors.u, factors.v, [i]).ravel()
+        row = residual_rows(oracle, factors.u, factors.v, np.array([i])).ravel()
         nu = float(np.linalg.norm(u_k) * np.linalg.norm(row))
         if sweep.append([i], [j], u_k[:, None], row[None, :], nu):
             break

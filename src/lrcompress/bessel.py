@@ -1,15 +1,20 @@
-"""Bessel functions J0 and Y0, vectorized over float64 arrays.
+"""Bessel functions J0 and Y0 and the Hankel function H0^(2) = J0 - i Y0,
+vectorized over float64 arrays.
 
 The domain splits at x = 5: below, rational approximations in x^2 (plus the
 logarithmic term for Y0); above, the Hankel asymptotic form with two rational
 functions of degree 6/6 and 7/7. Coefficients are the classic Cephes tables
 (Stephen L. Moshier, Cephes Math Library Release 2.1, public domain); peak
-absolute error is a few 1e-15 on [0, 30].
+absolute error is a few 1e-15 on [0, 30]. ``hankel2_0`` is one fused pass
+over both: the asymptotic pieces, cosine and sine (or, below x = 5, the J0
+values inside Y0's logarithmic term) are evaluated once, and an argument
+array on one side of x = 5 is used whole instead of gathered and scattered.
+Its values are bitwise those of ``bessel_j0(x) - 1j * bessel_y0(x)``.
 """
 
 import numpy as np
 
-__all__ = ["bessel_j0", "bessel_y0"]
+__all__ = ["bessel_j0", "bessel_y0", "hankel2_0"]
 
 PIO4 = 7.85398163397448309616e-1
 SQ2OPI = 7.9788456080286535587989e-1
@@ -93,9 +98,12 @@ YQ = [
 
 
 def _polevl(x, coef):
-    ans = np.full_like(x, coef[0])
-    for c in coef[1:]:
-        ans = ans * x + c
+    # Horner's rule in place on one fresh array
+    ans = x * coef[0]
+    ans += coef[1]
+    for c in coef[2:]:
+        ans *= x
+        ans += c
     return ans
 
 
@@ -103,7 +111,8 @@ def _p1evl(x, coef):
     # like _polevl with an implicit leading coefficient of 1
     ans = x + coef[0]
     for c in coef[1:]:
-        ans = ans * x + c
+        ans *= x
+        ans += c
     return ans
 
 
@@ -118,44 +127,85 @@ def _asymptotic(x):
     return w, p, q, xn, factor
 
 
+def _j0_small(x):
+    # J0 for |x| <= 5
+    z = x**2
+    p = (z - DR1) * (z - DR2) * _polevl(z, RP) / _p1evl(z, RQ)
+    return np.where(z < 1e-10, 1.0 - z / 4.0, p)
+
+
+def _j0_y0_small(x):
+    # (J0, Y0) for 0 < x <= 5; J0 enters Y0's logarithmic term
+    j0 = _j0_small(x)
+    z = x**2
+    return j0, _polevl(z, YP) / _p1evl(z, YQ) + TWOOPI * np.log(x) * j0
+
+
+def _j0_y0_large(x):
+    # (J0, Y0) for x > 5 from one asymptotic evaluation, cosine and sine
+    w, p, q, xn, factor = _asymptotic(x)
+    wq = w * q
+    c = np.cos(xn)
+    s = np.sin(xn)
+    return factor * (p * c - wq * s), factor * (p * s + wq * c)
+
+
+def _split_at_5(x, small_fn, large_fn):
+    """``small_fn`` where x <= 5 and ``large_fn`` elsewhere, as one array of
+    x's shape (a scalar for a 0-d x). Each function maps an array to an
+    array of its shape; when every x lies on one side, it gets x whole,
+    without a gather and scatter."""
+    x1 = np.atleast_1d(x)
+    small = x1 <= 5.0
+    if small.all():
+        out = small_fn(x1)
+    elif not small.any():
+        out = large_fn(x1)
+    else:
+        lo = small_fn(x1[small])
+        out = np.empty(x1.shape, dtype=lo.dtype)
+        out[small] = lo
+        large = ~small
+        out[large] = large_fn(x1[large])
+    return out[0] if x.ndim == 0 else out
+
+
+def _positive(x, name):
+    x = np.asarray(x, dtype=np.float64)
+    if (x <= 0.0).any():
+        raise ValueError(f"{name} requires strictly positive arguments")
+    return x
+
+
 def bessel_j0(x):
     """Bessel function of the first kind, order zero."""
     x = np.abs(np.asarray(x, dtype=np.float64))
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    out = np.empty_like(x)
-
-    small = x <= 5.0
-    if small.any():
-        z = x[small] ** 2
-        tiny = z < 1e-10
-        p = (z - DR1) * (z - DR2) * _polevl(z, RP) / _p1evl(z, RQ)
-        out[small] = np.where(tiny, 1.0 - z / 4.0, p)
-    large = ~small
-    if large.any():
-        w, p, q, xn, factor = _asymptotic(x[large])
-        out[large] = factor * (p * np.cos(xn) - w * q * np.sin(xn))
-    return out[0] if scalar else out
+    return _split_at_5(x, _j0_small, lambda xl: _j0_y0_large(xl)[0])
 
 
 def bessel_y0(x):
     """Bessel function of the second kind, order zero; requires x > 0."""
-    x = np.asarray(x, dtype=np.float64)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    if (x <= 0.0).any():
-        raise ValueError("bessel_y0 requires strictly positive arguments")
-    out = np.empty_like(x)
+    x = _positive(x, "bessel_y0")
+    return _split_at_5(x, lambda xs: _j0_y0_small(xs)[1],
+                       lambda xl: _j0_y0_large(xl)[1])
 
-    small = x <= 5.0
-    if small.any():
-        xs = x[small]
-        z = xs**2
-        out[small] = (
-            _polevl(z, YP) / _p1evl(z, YQ) + TWOOPI * np.log(xs) * bessel_j0(xs)
-        )
-    large = ~small
-    if large.any():
-        w, p, q, xn, factor = _asymptotic(x[large])
-        out[large] = factor * (p * np.sin(xn) + w * q * np.cos(xn))
-    return out[0] if scalar else out
+
+def _j0_minus_i_y0(pair):
+    j0, y0 = pair
+    out = np.empty(j0.shape, dtype=np.complex128)
+    out.real = j0
+    np.negative(y0, out=out.imag)
+    return out
+
+
+def hankel2_0(x):
+    """Hankel function of the second kind, order zero, H0^(2)(x) =
+    J0(x) - i Y0(x); requires x > 0.
+
+    One fused evaluation: below x = 5, Y0's logarithmic term reuses the J0
+    values; above, J0 and Y0 share one asymptotic evaluation, cosine and
+    sine. Bitwise equal to ``bessel_j0(x) - 1j * bessel_y0(x)``.
+    """
+    x = _positive(x, "hankel2_0")
+    return _split_at_5(x, lambda xs: _j0_minus_i_y0(_j0_y0_small(xs)),
+                       lambda xl: _j0_minus_i_y0(_j0_y0_large(xl)))

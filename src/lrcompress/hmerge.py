@@ -29,7 +29,7 @@ import numpy as np
 
 from .aca import DEGENERATE
 from .baca import baca_compress
-from .linalg import TruncatedSVD, truncated_svd
+from .linalg import TruncatedSVD, _householder_qr, truncated_svd
 from .seeding import block_seed
 
 __all__ = [
@@ -104,8 +104,9 @@ def _merge_side_by_side(a, b, tol):
     reorthogonalization pass (CGS2) into ``a.u @ p`` plus an orthonormal
     remainder ``q @ r``. Then ``[A, B] = [a.u, q] K blockdiag(a.vt, b.vt)``
     with the small core ``K = [[diag(sa), p sb], [0, r sb]]``, and only K
-    is decomposed. O(m (ra + rb)^2) for m rows, against a dense SVD of the
-    m x (ra + rb) stacked factor.
+    is decomposed. The remainder's Householder q is applied to K's left
+    singular vectors from its reflectors and never formed. O(m (ra + rb)^2)
+    for m rows, against a dense SVD of the m x (ra + rb) stacked factor.
     """
     ra = a.rank
     au_h = a.u.conj().T
@@ -114,13 +115,13 @@ def _merge_side_by_side(a, b, tol):
     p2 = au_h @ w
     w -= a.u @ p2
     p += p2
-    q, r = np.linalg.qr(w)
+    r, q_times = _householder_qr(w)
     core = np.zeros((ra + r.shape[0], ra + b.rank), dtype=np.result_type(p, r))
     core[:ra, :ra] = np.diag(a.sigma)
     core[:ra, ra:] = p * b.sigma
     core[ra:, ra:] = r * b.sigma
     c = truncated_svd(core, tol)
-    u = a.u @ c.u[:ra] + q @ c.u[ra:]
+    u = a.u @ c.u[:ra] + q_times(c.u[ra:])
     vt = np.hstack([c.vt[:, :ra] @ a.vt, c.vt[:, ra:] @ b.vt])
     return TruncatedSVD(u=u, sigma=c.sigma, vt=vt)
 

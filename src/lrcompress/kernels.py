@@ -14,7 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import bessel_j0, bessel_y0
+# bessel_j0 and bessel_y0 stay importable from this module, where perfbench's
+# tracer patches them; the Hankel kernel calls the fused hankel2_0
+from .bessel import bessel_j0, bessel_y0, hankel2_0  # noqa: F401
 from .seeding import make_rng
 
 __all__ = [
@@ -37,6 +39,7 @@ __all__ = [
     "offdiag_oracle",
     "product_of_random_oracle",
     "dense_oracle",
+    "full_range",
 ]
 
 
@@ -188,11 +191,12 @@ class Hankel2DKernel(_Kernel):
     dtype = np.complex128
 
     def block(self, xr, xc):
-        r = np.sqrt(_pairwise_sq(xr, xc))
-        if (r == 0.0).any():
+        kr = _pairwise_sq(xr, xc)
+        if (kr == 0.0).any():
             raise GeometryError("coincident points in Hankel kernel")
-        kr = self.wavenumber * r
-        return bessel_j0(kr) - 1j * bessel_y0(kr)
+        np.sqrt(kr, out=kr)
+        kr *= self.wavenumber
+        return hankel2_0(kr)
 
 
 def _pairwise_sq(xr, xc):
@@ -204,11 +208,37 @@ def _pairwise_sq(xr, xc):
     return sq
 
 
+# extent -> the shared read-only np.arange(extent) of full_range
+_FULL_RANGES = {}
+_FULL_RANGES_KEPT = 64
+
+
+def full_range(extent):
+    """``np.arange(extent)`` as one shared read-only array per extent.
+
+    The sweeps ask for whole rows and columns with it; ``_as_run``
+    recognizes it by identity in O(1), where any other run costs a pass
+    over its entries. To a custom oracle it is a plain integer array.
+    """
+    idx = _FULL_RANGES.get(extent)
+    if idx is None:
+        if len(_FULL_RANGES) >= _FULL_RANGES_KEPT:
+            _FULL_RANGES.clear()
+        idx = np.arange(extent)
+        idx.flags.writeable = False
+        _FULL_RANGES[extent] = idx
+    return idx
+
+
 def _as_run(idx, extent):
     """``slice(lo, hi)`` when ``idx`` is a 1-d integer array holding the
     ascending run lo, lo+1, ..., hi-1 with 0 <= lo and hi <= extent;
     otherwise ``idx`` as an array, for fancy indexing with its usual
-    shape and IndexError semantics."""
+    shape and IndexError semantics. The shared ``full_range(extent)`` is
+    recognized by identity, without reading its entries."""
+    full = _FULL_RANGES.get(extent)
+    if full is not None and idx is full:
+        return slice(0, extent)
     idx = np.asarray(idx)
     if idx.ndim != 1 or idx.size == 0 or idx.dtype.kind not in "iu":
         return idx
@@ -226,11 +256,12 @@ class EntryOracle:
     """Implicit matrix: shape, dtype and a pure per-entry evaluator.
 
     ``block(row_idx, col_idx)`` is the vectorized access path used by the
-    compressors. It receives 1-d integer index arrays and returns the
-    (len(row_idx), len(col_idx)) block as an array the caller owns and may
-    overwrite. The compressors ask for whole rows and columns as
-    ``np.arange`` runs; the oracles here serve an ascending contiguous run
-    by slicing instead of gathering, and a custom oracle can do the same.
+    compressors. It receives 1-d integer index arrays, which it must not
+    write to, and returns the (len(row_idx), len(col_idx)) block as an
+    array the caller owns and may overwrite. The compressors ask for whole
+    rows and columns as the shared ``full_range`` arrays; the oracles here
+    serve an ascending contiguous run by slicing instead of gathering (the
+    full range recognized in O(1)), and a custom oracle can do the same.
     The base implementation loops over ``element``; subclasses override
     it. Instances are immutable after construction and safe to share
     across workers.
@@ -258,7 +289,7 @@ class EntryOracle:
 
     def dense(self):
         """Materialize the full matrix (tests and verification only)."""
-        return self.block(np.arange(self.rows), np.arange(self.cols))
+        return self.block(full_range(self.rows), full_range(self.cols))
 
     def subblock(self, row_lo, row_hi, col_lo, col_hi):
         return SubblockOracle(self, row_lo, row_hi, col_lo, col_hi)
@@ -281,7 +312,9 @@ class DenseOracle(EntryOracle):
         return self.matrix[i, j]
 
     def block(self, row_idx, col_idx):
-        rows = np.asarray(row_idx).reshape(-1)
+        rows = np.asarray(row_idx)
+        if rows.ndim != 1:
+            rows = rows.reshape(-1)
         cols = np.asarray(col_idx)
         if cols.ndim == 1 and rows.dtype.kind in "iu" and cols.dtype.kind in "iu":
             rs, cs = _as_run(rows, self.rows), _as_run(cols, self.cols)

@@ -4,12 +4,15 @@ QRCP (greedy column pivoting over left-looking classical Gram-Schmidt with
 one reorthogonalization pass, CGS2) is implemented directly so that pivot
 tie-breaking, partial-rank early exit and the tolerance stopping rule are
 fully under our control; SVD, unpivoted QR and Cholesky defer to LAPACK
-through numpy. Everything is generic over float64 and complex128:
-"transpose" means conjugate transpose throughout.
+through numpy. Unpivoted QR keeps Q as LAPACK's Householder reflectors and
+applies it from them (compact WY form) without ever forming it.
+Everything is generic over float64 and complex128: "transpose" means
+conjugate transpose throughout.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,15 +96,26 @@ class TruncatedSVD:
 class QRCPResult:
     """Column-pivoted QR: ``a[:, pivots[:rank]] ~= q @ t[:, :rank]``.
 
-    ``q`` is (m, rank) column-orthonormal, ``t`` is (rank, n) upper
-    trapezoidal in pivot order, ``pivots`` a full permutation of the columns
-    whose first ``rank`` entries are the selected pivots.
+    ``q`` is (m, rank) column-orthonormal; ``rows`` (rank, n) holds the
+    coefficients ``q^H a`` of the columns of a in their original order
+    (entries below the pivots' diagonal are rounding noise); ``pivots`` is
+    a full permutation of the columns whose first ``rank`` entries are the
+    selected pivots. ``t``, the (rank, n) upper trapezoidal factor in pivot
+    order, is gathered from ``rows`` on first access, so callers that need
+    only the pivots never pay for it.
     """
 
     q: np.ndarray
-    t: np.ndarray
+    rows: np.ndarray
     pivots: np.ndarray
     rank: int
+
+    @functools.cached_property
+    def t(self):
+        t = self.rows[:, self.pivots]
+        for i in range(1, self.rank):
+            t[i, :i] = 0.0
+        return t
 
     def selected(self):
         return self.pivots[: self.rank]
@@ -209,7 +223,7 @@ def qrcp(a, rank=None, tol=None):
     ``|t[i,i]| <= tol * |t[0,0]|`` (that step excluded). Each step pivots on
     the largest running residual column norm (lowest index among near-ties),
     orthogonalizes that column against the basis built so far and appends
-    the row ``q_i^H a`` to t, which downdates the running norms. The
+    the row ``q_i^H a`` to ``rows``, which downdates the running norms. The
     unpivoted tail of ``pivots`` is in ascending order.
 
     Parameters
@@ -284,10 +298,7 @@ def qrcp(a, rank=None, tol=None):
             floor2[stale] = DOWNDATE_RTOL**2 * fresh
 
     pivots = np.concatenate([piv[:k], np.flatnonzero(free)])
-    t = rows[:k, pivots]
-    for i in range(1, k):
-        t[i, :i] = 0.0
-    return QRCPResult(q=q[:, :k], t=t, pivots=pivots, rank=k)
+    return QRCPResult(q=q[:, :k], rows=rows[:k], pivots=pivots, rank=k)
 
 
 def epsilon_rank(sigma, tol):
@@ -393,11 +404,54 @@ def lr_norm_update(u, v, mu, ubar, vbar, nu):
     return float(np.sqrt(s))
 
 
+def _householder_qr(a):
+    """Thin QR ``a = q @ r`` of an (m, k) matrix with q never formed.
+
+    Returns ``(r, q_times)``: r is the (l, k) upper trapezoidal factor of
+    ``np.linalg.qr(a)``, l = min(m, k), bit for bit, and ``q_times(x)``
+    returns ``q @ x`` for the (m, l) column-orthonormal q and any x with l
+    rows. q stays the product of LAPACK's Householder reflectors
+    ``H_i = I - tau_i v_i v_i^H`` and is applied in compact WY form,
+    ``I - V T V^H`` with ``T^-1 = diag(1 / tau) + striu(V^H V)`` (Joffrain
+    et al. 2006), which costs less than forming q explicitly. A reflector
+    with tau_i = 0 is the identity (the last one of a square or wide input,
+    or one on a zero sub-column): its v_i is zeroed and its diagonal entry
+    of T^-1 set to 1, which leaves the product unchanged.
+    """
+    m, k = a.shape
+    l = min(m, k)
+    h, tau = np.linalg.qr(a, mode="raw")
+    # LAPACK's layout: r on and above the diagonal, each v_i below it;
+    # once r is copied out, V is built in place
+    f = h.T
+    r = np.triu(f[:l])
+    v = f[:, :l]
+    v[np.triu_indices(l, 1)] = 0.0
+    diag = np.arange(l)
+    v[diag, diag] = 1.0
+    live = tau != 0.0
+    v[:, ~live] = 0.0
+    tinv = np.triu(v.conj().T @ v, 1)
+    inv_tau = np.ones_like(tau)
+    np.divide(1.0, tau, out=inv_tau, where=live)
+    tinv[diag, diag] = inv_tau
+    v_top_h = v[:l].conj().T
+
+    def q_times(x):
+        out = v @ np.linalg.solve(tinv, -(v_top_h @ x))
+        out[:l] += x
+        return out
+
+    return r, q_times
+
+
 def lr_recompress(u, v, tol):
     """SVD re-compression of a low-rank product ``u @ v`` at tolerance ``tol``.
 
-    Computes thin QRs of u and v^H and a truncated SVD of the small core
-    product; never increases the rank beyond the inner dimension.
+    Computes thin Householder QRs of u and v^H and a truncated SVD of the
+    small core product, then applies the two Q factors to the core's
+    singular vectors from their reflectors, never forming them; never
+    increases the rank beyond the inner dimension.
     """
     u = checked_matrix(u, "u")
     v = checked_matrix(v, "v")
@@ -408,11 +462,11 @@ def lr_recompress(u, v, tol):
     dtype = np.result_type(u.dtype, v.dtype)
     if r == 0 or m == 0 or n == 0:
         return _empty_svd(m, n, dtype)
-    qu, tu = np.linalg.qr(u)
-    qv, tv = np.linalg.qr(v.conj().T)
+    tu, qu_times = _householder_qr(u)
+    tv, qv_times = _householder_qr(v.conj().T)
     core = truncated_svd(tu @ tv.conj().T, tol)
     return TruncatedSVD(
-        u=qu @ core.u,
+        u=qu_times(core.u),
         sigma=core.sigma,
-        vt=core.vt @ qv.conj().T,
+        vt=qv_times(core.vt.conj().T).conj().T,
     )

@@ -192,5 +192,6 @@ def householder_qrcp(a, rank=None, tol=None):
                 ref2[cols] = fresh
 
     q = _accumulate_q(r, taus, m, k)
-    t = np.triu(r[:k, :])
-    return QRCPResult(q=q, t=t, pivots=piv, rank=k)
+    # back to the original column order, where QRCPResult keeps q^H a
+    rows = np.triu(r[:k, :])[:, np.argsort(piv)]
+    return QRCPResult(q=q, rows=rows, pivots=piv, rank=k)

@@ -20,7 +20,8 @@ from lrcompress.kernels import (
     random_cloud,
     strip_cloud,
 )
-from lrcompress.kernels import _pairwise_sq
+from lrcompress import AcaConfig, BacaConfig, aca_compress, baca_compress
+from lrcompress.kernels import _as_run, _pairwise_sq, full_range
 from lrcompress.linalg import truncated_svd
 from lrcompress.seeding import make_rng
 
@@ -385,3 +386,61 @@ class TestOracleGathers:
         out = oracle.block(rows, cols)
         out[...] = 0.0
         assert np.array_equal(oracle.matrix, a)
+
+
+class _BlockOnlyOracle(EntryOracle):
+    # a custom oracle with no element and no run recognition: block gathers
+    # with whatever index arrays it gets, and records them
+    def __init__(self, matrix):
+        self.matrix = matrix
+        self.rows, self.cols = matrix.shape
+        self.dtype = matrix.dtype
+        self.seen = []
+
+    def block(self, row_idx, col_idx):
+        self.seen.append((row_idx, col_idx))
+        return self.matrix[np.ix_(row_idx, col_idx)]
+
+
+class TestFullRange:
+    def test_shared_read_only_arange(self):
+        idx = full_range(37)
+        assert full_range(37) is idx
+        assert np.array_equal(idx, np.arange(37))
+        assert idx.dtype.kind == "i" and not idx.flags.writeable
+        with pytest.raises(ValueError):
+            idx[0] = 5
+
+    def test_recognized_by_identity(self):
+        assert _as_run(full_range(40), 40) == slice(0, 40)
+        # an equal array that is not the shared one takes the general path
+        # to the same run
+        assert _as_run(np.arange(40), 40) == slice(0, 40)
+        # the shared range of another extent is only a run, checked as one
+        assert _as_run(full_range(30), 40) == slice(0, 30)
+        assert not isinstance(_as_run(full_range(40), 30), slice)
+
+    @pytest.mark.parametrize("algorithm", ["aca", "baca"])
+    def test_block_only_oracle_gets_plain_integer_arrays(self, algorithm):
+        a = product_of_random_oracle(60, 5, seed=9).dense()
+        oracle = _BlockOnlyOracle(a)
+        if algorithm == "aca":
+            res, hist = aca_compress(oracle, AcaConfig(tol=1e-10, seed=3))
+            ref, ref_hist = aca_compress(DenseOracle(a), AcaConfig(tol=1e-10, seed=3))
+        else:
+            config = BacaConfig(block_size=4, tol=1e-10, seed=3)
+            res, hist = baca_compress(oracle, config)
+            ref, ref_hist = baca_compress(DenseOracle(a), config)
+        assert oracle.seen
+        for rows, cols in oracle.seen:
+            for idx in (rows, cols):
+                assert isinstance(idx, np.ndarray)
+                assert idx.ndim == 1 and idx.dtype.kind in "iu"
+        assert any(np.array_equal(rows, np.arange(60)) for rows, _ in oracle.seen)
+        assert hist.col_pivots == ref_hist.col_pivots
+        assert hist.row_pivots == ref_hist.row_pivots
+        assert rel_fro_matrix(res, a) <= 1e-9
+
+
+def rel_fro_matrix(res, a):
+    return np.linalg.norm(res.matrix() - a) / np.linalg.norm(a)

@@ -4,6 +4,7 @@ import pytest
 from helpers import gram_epsilon_rank, householder_qrcp, random_factors, rel_fro
 from lrcompress.linalg import (
     FactorBuffer,
+    _householder_qr,
     cholesky_upper,
     epsilon_rank,
     lr_norm,
@@ -81,6 +82,22 @@ class TestQRCP:
         assert np.linalg.norm(a[:, fac.pivots] - fac.q @ fac.t) <= 1e-12 * norm_a
         d = np.abs(np.diag(fac.t))
         assert (d[1:] <= d[:-1] * (1.0 + 1e-12)).all()
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_t_is_gathered_on_first_access(self, complex_):
+        u, v = random_factors(23, 9, 12, 9, complex_=complex_)
+        a = u @ v
+        fac = qrcp(a, rank=5)
+        assert "t" not in vars(fac)
+        t = fac.t
+        assert fac.t is t
+        assert t.shape == (5, 12)
+        assert np.array_equal(np.tril(t, -1), np.zeros_like(t))
+        # rows keeps q^H a in the original column order
+        np.testing.assert_allclose(fac.rows, fac.q.conj().T @ a, rtol=0.0,
+                                   atol=1e-12 * np.linalg.norm(a))
+        assert np.linalg.norm(a[:, fac.pivots[:5]] - fac.q @ t[:, :5]) <= (
+            1e-12 * np.linalg.norm(a))
 
     def test_empty_matrix(self):
         fac = qrcp(np.zeros((0, 4)), tol=1e-8)
@@ -401,6 +418,79 @@ class TestFactorBuffer:
         assert buf.u.flags.f_contiguous and buf.v.flags.c_contiguous
 
 
+def _qr_input(case, complex_):
+    rng = make_rng(81)
+
+    def draw(shape):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if complex_ else x
+
+    if case == "tall":
+        return draw((40, 9))
+    if case == "square":
+        return draw((7, 7))
+    if case == "zero_columns":
+        a = draw((30, 6))
+        a[:, [1, 4]] = 0.0
+        return a
+    if case == "rank_deficient":
+        a = draw((25, 6))
+        a[:, 3] = a[:, 0] - 2.0 * a[:, 2]
+        return a
+    if case == "wide":
+        return draw((5, 11))
+    if case == "one_column":
+        return draw((12, 1))
+    if case == "one_row":
+        return draw((1, 4))
+    if case == "zero":
+        return np.zeros((6, 3), dtype=np.complex128 if complex_ else np.float64)
+    return draw((8, 0))
+
+
+class TestHouseholderQR:
+    CASES = ["tall", "square", "zero_columns", "rank_deficient", "wide",
+             "one_column", "one_row", "zero", "no_columns"]
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_explicit_qr(self, case, complex_):
+        a = _qr_input(case, complex_)
+        q, r = np.linalg.qr(a)
+        got_r, q_times = _householder_qr(a)
+        # R straight from the same LAPACK factorization
+        assert got_r.shape == r.shape
+        assert np.array_equal(got_r, r)
+        rng = make_rng(82)
+        for cols in (0, 1, 5):
+            x = rng.standard_normal((r.shape[0], cols))
+            if complex_:
+                x = x + 1j * rng.standard_normal(x.shape)
+            got = q_times(x)
+            assert got.shape == (a.shape[0], cols)
+            np.testing.assert_allclose(got, q @ x, rtol=0.0, atol=1e-13)
+        # q itself, as q times the identity, and q r back to a
+        eye = np.eye(r.shape[0])
+        np.testing.assert_allclose(q_times(eye), q, rtol=0.0, atol=1e-13)
+        if a.size:
+            assert rel_fro(q_times(got_r), a) <= 1e-13
+
+    def test_square_input_ends_in_an_identity_reflector(self):
+        # the last reflector of a square input has tau = 0: it must drop out
+        a = _qr_input("square", False)
+        _, tau = np.linalg.qr(a, mode="raw")
+        assert tau[-1] == 0.0
+        _, q_times = _householder_qr(a)
+        q = q_times(np.eye(7))
+        np.testing.assert_allclose(q.T @ q, np.eye(7), rtol=0.0, atol=1e-14)
+
+    def test_leaves_input_alone(self):
+        a = _qr_input("tall", True)
+        before = a.copy()
+        _householder_qr(a)[1](np.ones((9, 2)))
+        assert np.array_equal(a, before)
+
+
 class TestLrRecompress:
     def test_duplicated_column(self):
         rng = make_rng(17)
@@ -452,3 +542,13 @@ class TestLrRecompress:
             assert res.rank <= r
             bound = tol * np.linalg.norm(product) * np.sqrt(max(r, 1))
             assert np.linalg.norm(res.matrix() - product) <= bound
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_wide_factors(self, complex_):
+        # inner dimension above both m and n: both Householder QRs are wide
+        u, v = random_factors(31, 6, 9, 14, complex_=complex_)
+        res = lr_recompress(u, v, 1e-12)
+        assert res.rank == 6
+        np.testing.assert_allclose(res.u.conj().T @ res.u, np.eye(6), atol=1e-13)
+        np.testing.assert_allclose(res.vt @ res.vt.conj().T, np.eye(6), atol=1e-13)
+        assert rel_fro(res.matrix(), u @ v) <= 1e-13
