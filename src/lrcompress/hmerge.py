@@ -8,9 +8,11 @@ horizontally and vertically, never through the dense blocks. A merge uses
 that both blocks' bases on the shared side are already orthonormal: one is
 orthogonalized against the other by block classical Gram-Schmidt with one
 reorthogonalization pass (CGS2), and only the small (r1 + r2)-square core
-gets a truncated SVD. Leaf compressions and pair merges form a task graph
-executed on a fixed-size process pool, or inline for one worker, every task
-on single-threaded BLAS; every task writes one block-id keyed slot.
+gets a truncated SVD. The leaf compressions run on a process pool, or
+inline for one worker; the merges then run in the calling process, level by
+level over a grid of block SVDs. Leaves and merges alike run on
+single-threaded BLAS, so results are bitwise identical at every worker
+count.
 """
 
 from __future__ import annotations
@@ -296,33 +298,27 @@ def _noop():
     return None
 
 
-class _Pool:
-    # workers == 1 runs tasks inline; otherwise they go to a process pool
-    # and results return in submit order. Workers are spawned eagerly so
-    # pool startup does not pollute the leaf-phase timing.
+def _compress_leaves(oracle, jobs, workers):
+    """``_leaf_task`` over ``jobs`` of (row range, column range, config), in
+    job order, and the seconds the tasks took.
 
-    def __init__(self, workers, oracle):
-        if workers > 1:
-            self.pool = ProcessPoolExecutor(
-                max_workers=workers, initializer=_init_worker, initargs=(oracle,)
-            )
-            for f in [self.pool.submit(_noop) for _ in range(workers)]:
-                f.result()
-            # the oracle argument of a leaf task: workers hold their own copy
-            self.leaf_oracle = None
-        else:
-            self.pool = None
-            self.leaf_oracle = oracle
-
-    def map(self, fn, jobs):
-        if self.pool is None:
-            return [fn(*args) for args in jobs]
-        futures = [self.pool.submit(fn, *args) for args in jobs]
-        return [f.result() for f in futures]
-
-    def close(self):
-        if self.pool is not None:
-            self.pool.shutdown()
+    One worker runs them inline; more run them on a process pool of at most
+    one process per leaf, every worker holding its own copy of the oracle.
+    The workers are started before the clock and shut down after it.
+    """
+    workers = min(workers, len(jobs))
+    if workers == 1:
+        t0 = time.perf_counter()
+        results = [_leaf_task(oracle, *job) for job in jobs]
+        return results, time.perf_counter() - t0
+    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                             initargs=(oracle,)) as pool:
+        for f in [pool.submit(_noop) for _ in range(workers)]:
+            f.result()
+        t0 = time.perf_counter()
+        futures = [pool.submit(_leaf_task, None, *job) for job in jobs]
+        results = [f.result() for f in futures]
+        return results, time.perf_counter() - t0
 
 
 def _levels_for(n_blocks):
@@ -348,11 +344,13 @@ def hbaca_compress(oracle, n_blocks, config, workers=1):
         Leaf compressor settings; block size 1 gives hierarchical plain
         cross approximation. Leaf seeds derive from (config.seed, block id).
     workers : int
-        Process pool size for leaf and merge tasks; 1 runs them inline.
-        Every task runs on single-threaded BLAS, so this is the number of
-        cores the call uses, and the result is bitwise identical at every
-        worker count. The caller's BLAS thread count is restored on return
-        or raise; n_blocks=1 runs at that count.
+        Process pool size for the leaf compressions, capped at n_blocks; 1
+        runs them inline. The merges run in the calling process after the
+        pool has shut down. Leaves and merges run on single-threaded BLAS,
+        so this is the number of cores the call uses, and the result is
+        bitwise identical at every worker count. The caller's BLAS thread
+        count is restored on return or raise; n_blocks=1 runs at that
+        count.
 
     Returns
     -------
@@ -396,68 +394,41 @@ def hbaca_compress(oracle, n_blocks, config, workers=1):
     row_tree = build_index_tree(m, levels)
     col_tree = build_index_tree(n, levels)
 
-    # leaf and merge tasks run on single-threaded BLAS, inline as in the pool
+    # leaves and merges run on single-threaded BLAS, in the caller as in the
+    # pool workers
+    diag = HBacaDiagnostics()
     with _single_threaded_blas:
-        pool = _Pool(workers, oracle)
-        diag = HBacaDiagnostics()
-        blocks = {}
-        try:
-            t0 = time.perf_counter()
-            jobs = []
-            for i in range(side):
-                for j in range(side):
-                    cfg = replace(config, seed=block_seed(config.seed, i * side + j))
-                    jobs.append((pool.leaf_oracle, row_tree.leaves()[i],
-                                 col_tree.leaves()[j], cfg))
-            results = pool.map(_leaf_task, jobs)
-            for (i, j), (svd, record) in zip(
-                ((i, j) for i in range(side) for j in range(side)), results
-            ):
-                blocks[(0, i), (0, j)] = BlockSVD((0, i), (0, j), svd)
-                diag.block_ranks[(0, i, j)] = svd.rank
-                diag.leaves[i, j] = record
-                if record.termination == DEGENERATE:
-                    diag.degenerate_blocks.append((i, j))
-            diag.leaf_seconds = time.perf_counter() - t0
-            diag.level_max_rank.append(
-                max(blocks[key].rank for key in blocks) if blocks else 0
-            )
+        jobs = [(row_range, col_range,
+                 replace(config, seed=block_seed(config.seed, i * side + j)))
+                for i, row_range in enumerate(row_tree.leaves())
+                for j, col_range in enumerate(col_tree.leaves())]
+        results, diag.leaf_seconds = _compress_leaves(oracle, jobs, workers)
+        grid = [[None] * side for _ in range(side)]
+        for k, (svd, record) in enumerate(results):
+            i, j = divmod(k, side)
+            grid[i][j] = BlockSVD((0, i), (0, j), svd)
+            diag.block_ranks[(0, i, j)] = svd.rank
+            diag.leaves[i, j] = record
+            if record.termination == DEGENERATE:
+                diag.degenerate_blocks.append((i, j))
+        diag.level_max_rank.append(max(b.rank for row in grid for b in row))
 
-            t1 = time.perf_counter()
-            for level in range(1, levels + 1):
-                rows_below = 2 ** (levels - level + 1)
-                nodes = 2 ** (levels - level)
-                # horizontal half-step: all column-pair merges first
-                jobs = [
-                    (blocks[(level - 1, ti), (level - 1, 2 * tj)],
-                     blocks[(level - 1, ti), (level - 1, 2 * tj + 1)],
-                     config.tol)
-                    for ti in range(rows_below)
-                    for tj in range(nodes)
-                ]
-                for merged in pool.map(merge_pair_horizontal, jobs):
-                    blocks[merged.row_node, merged.col_node] = merged
-                # vertical step: row-pair merges on the half-step results
-                jobs = [
-                    (blocks[(level - 1, 2 * ti), (level, tj)],
-                     blocks[(level - 1, 2 * ti + 1), (level, tj)],
-                     config.tol)
-                    for ti in range(nodes)
-                    for tj in range(nodes)
-                ]
-                for merged in pool.map(merge_pair_vertical, jobs):
-                    blocks[merged.row_node, merged.col_node] = merged
-                    lvl, i = merged.row_node
-                    diag.block_ranks[(lvl, i, merged.col_node[1])] = merged.rank
-                diag.level_max_rank.append(
-                    max(blocks[(level, i), (level, j)].rank
-                        for i in range(nodes) for j in range(nodes))
-                )
-            diag.merge_seconds = time.perf_counter() - t1
-        finally:
-            pool.close()
+        t0 = time.perf_counter()
+        for level in range(1, levels + 1):
+            # horizontal half-step on every row of blocks, then the vertical
+            # step on the half-step results
+            half = [[merge_pair_horizontal(row[j], row[j + 1], config.tol)
+                     for j in range(0, len(row), 2)] for row in grid]
+            grid = [[merge_pair_vertical(top, bottom, config.tol)
+                     for top, bottom in zip(half[i], half[i + 1])]
+                    for i in range(0, len(half), 2)]
+            for i, row in enumerate(grid):
+                for j, block in enumerate(row):
+                    diag.block_ranks[(level, i, j)] = block.rank
+            diag.level_max_rank.append(max(b.rank for row in grid for b in row))
+        diag.merge_seconds = time.perf_counter() - t0
 
-    return blocks[(levels, 0), (levels, 0)].svd, diag
+    return grid[0][0].svd, diag
 
 
 @dataclass(frozen=True)
@@ -486,7 +457,9 @@ def cost_model(params):
     Leaf work is n_b blocks of size n/sqrt(n_b) at leaf rank s_0; merge work
     sums 4^(L-l) * n_l * s_l^2 over levels with n_l = 2^l n / sqrt(n_b);
     message/volume counts follow the grid-merge estimate with p_l = min(4^l,
-    p) processes active at level l.
+    p) processes active at level l. That schedule models the paper's
+    distributed merge; ``hbaca_compress`` runs every merge in the calling
+    process and sends no messages.
 
     Returns
     -------

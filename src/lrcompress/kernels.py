@@ -378,21 +378,6 @@ class LowRankProductOracle(EntryOracle):
         return self.u[_as_run(row_idx, self.rows), :] @ v
 
 
-def _wrap_indices(idx, extent):
-    """``idx`` (an index or an index array) with entries in [-extent, 0)
-    wrapped to ``idx + extent``; IndexError when any entry lies outside
-    [-extent, extent). A run that ``_as_run`` accepts is in bounds by its
-    first and last entries and passes unchanged; anything else is checked
-    through its min and max."""
-    idx = np.asarray(idx)
-    if isinstance(_as_run(idx, extent), slice) or idx.size == 0:
-        return idx
-    lo, hi = idx.min(), idx.max()
-    if lo < -extent or hi >= extent:
-        raise IndexError(f"index out of bounds for extent {extent}")
-    return np.where(idx < 0, idx + extent, idx) if lo < 0 else idx
-
-
 class SubblockOracle(EntryOracle):
     """Contiguous rectangular restriction of another oracle. Indices are
     relative to the subblock, with the semantics of ``DenseOracle``:
@@ -405,22 +390,19 @@ class SubblockOracle(EntryOracle):
         if not (0 <= col_lo <= col_hi <= base.cols):
             raise ValueError("column range out of bounds")
         self.base = base
-        self.row_lo = row_lo
-        self.col_lo = col_lo
+        # base indices of the subblock's rows and columns; indexing them
+        # wraps and bounds-checks like a dense array
+        self.row_index = np.arange(row_lo, row_hi)
+        self.col_index = np.arange(col_lo, col_hi)
         self.rows = row_hi - row_lo
         self.cols = col_hi - col_lo
         self.dtype = base.dtype
 
     def element(self, i, j):
-        return self.base.element(
-            _wrap_indices(i, self.rows) + self.row_lo, _wrap_indices(j, self.cols) + self.col_lo
-        )
+        return self.base.element(self.row_index[i], self.col_index[j])
 
     def block(self, row_idx, col_idx):
-        return self.base.block(
-            _wrap_indices(row_idx, self.rows) + self.row_lo,
-            _wrap_indices(col_idx, self.cols) + self.col_lo,
-        )
+        return self.base.block(self.row_index[row_idx], self.col_index[col_idx])
 
 
 def kernel_oracle(kernel, cloud):

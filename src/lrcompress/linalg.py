@@ -340,16 +340,6 @@ def cholesky_upper(a):
         raise ValueError(f"matrix must be square, got {a.shape}")
     if m == 0:
         return a.copy()
-    if m == 1:
-        pivot = a[0, 0]
-        re, im = pivot.real, pivot.imag
-        if abs(im) > 1e-12 * max(abs(pivot), 1e-300):
-            raise ValueError("matrix is not Hermitian to 1e-12")
-        if re <= 0.0:
-            raise np.linalg.LinAlgError("matrix is not positive definite")
-        out = np.empty((1, 1), dtype=a.dtype)
-        out[0, 0] = np.sqrt(re)
-        return out
     scale = np.abs(a).max()
     if np.abs(a - a.conj().T).max() > 1e-12 * max(scale, 1e-300):
         raise ValueError("matrix is not Hermitian to 1e-12")

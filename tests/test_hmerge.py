@@ -1,4 +1,5 @@
 import ctypes
+import os
 import sys
 import threading
 
@@ -465,15 +466,79 @@ def _spy(fail=False):
     return _ThreadSpyOracle(u @ v, fail=fail)
 
 
+class _SingleThreadOnlyOracle(DenseOracle):
+    # picklable, so pool workers get a copy; a block request under more than
+    # one BLAS thread fails the leaf and with it the call
+    def block(self, row_idx, col_idx):
+        if _blas_threads() != 1:
+            raise RuntimeError("block requested under multithreaded BLAS")
+        return super().block(row_idx, col_idx)
+
+
+def _recording_merges(monkeypatch, record):
+    # wraps the merges hbaca_compress looks up as module attributes; the
+    # wrappers are closures, which cannot be pickled to a pool worker
+    for name in ("merge_pair_horizontal", "merge_pair_vertical"):
+        def wrapped(*args, _merge=getattr(hmerge_mod, name)):
+            record()
+            return _merge(*args)
+
+        monkeypatch.setattr(hmerge_mod, name, wrapped)
+
+
 class TestWorkerBlasThreads:
     def test_pool_workers_run_single_threaded_blas(self, caller_blas_threads):
-        pool = hmerge_mod._Pool(2, product_of_random_oracle(8, 2, seed=1))
-        try:
-            assert pool.map(_blas_threads, [()] * 4) == [1] * 4
-        finally:
-            pool.close()
-        # the pool's own pin applies in the workers only
+        u, v = random_factors(13, 48, 48, 6)
+        svd, diag = hbaca_compress(_SingleThreadOnlyOracle(u @ v), 16,
+                                   BacaConfig(block_size=4, tol=1e-8, seed=1), workers=2)
+        assert svd.rank == 6
+        assert len(diag.leaves) == 16
+        # the pin applies in the workers and during the call only
         assert _blas_threads() == caller_blas_threads
+
+    def test_worker_initializer_pins_blas(self, caller_blas_threads, monkeypatch):
+        # forked workers inherit the caller's pin, so the test above holds
+        # without the initializer's own; workers started fresh rely on it
+        monkeypatch.setattr(hmerge_mod, "_worker_oracle", None)
+        oracle = product_of_random_oracle(8, 2, seed=1)
+        hmerge_mod._init_worker(oracle)
+        assert hmerge_mod._worker_oracle is oracle
+        assert _blas_threads() == 1
+
+    def test_merges_after_a_pool_run_single_threaded(self, caller_blas_threads, monkeypatch):
+        threads = []
+        _recording_merges(monkeypatch, lambda: threads.append(_blas_threads()))
+        oracle = product_of_random_oracle(64, 6, seed=14)
+        hbaca_compress(oracle, 16, BacaConfig(block_size=4, tol=1e-8, seed=2), workers=2)
+        assert threads == [1] * (8 + 4 + 2 + 1)
+        assert _blas_threads() == caller_blas_threads
+
+
+class TestLeafOnlyPool:
+    def test_merges_run_in_the_calling_process(self, monkeypatch):
+        pids = []
+        _recording_merges(monkeypatch, lambda: pids.append(os.getpid()))
+        oracle = product_of_random_oracle(64, 6, seed=14)
+        cfg = BacaConfig(block_size=4, tol=1e-8, seed=2)
+        svd, _ = hbaca_compress(oracle, 16, cfg, workers=2)
+        assert svd.rank == 6
+        assert pids == [os.getpid()] * (8 + 4 + 2 + 1)
+
+    def test_pool_is_capped_at_the_leaf_count(self, monkeypatch):
+        sizes = []
+        real = hmerge_mod.ProcessPoolExecutor
+
+        def recording(max_workers, **kwargs):
+            sizes.append(max_workers)
+            return real(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(hmerge_mod, "ProcessPoolExecutor", recording)
+        oracle = product_of_random_oracle(32, 3, seed=15)
+        cfg = BacaConfig(block_size=2, tol=1e-8, seed=4)
+        want, _ = hbaca_compress(oracle, 4, cfg, workers=1)
+        got, _ = hbaca_compress(oracle, 4, cfg, workers=8)
+        assert sizes == [4]
+        assert np.array_equal(got.u, want.u) and np.array_equal(got.vt, want.vt)
 
 
 class TestSingleThreadedTasks:

@@ -306,6 +306,30 @@ class TestCholesky:
         with pytest.raises(ValueError):
             cholesky_upper(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("x", [1.0, 2.0, 4.0, 0.3, 1e-300, 7e250])
+    def test_one_by_one_real_is_sqrt(self, x):
+        t = cholesky_upper(np.array([[x]]))
+        assert t.dtype == np.float64
+        assert t.shape == (1, 1)
+        assert t[0, 0] == np.sqrt(x)
+
+    @pytest.mark.parametrize("x", [1.0, 2.0, 0.3, 5e-200])
+    def test_one_by_one_complex_with_zero_imaginary_part(self, x):
+        t = cholesky_upper(np.array([[complex(x, 0.0)]]))
+        assert t.dtype == np.complex128
+        assert t[0, 0].real == np.sqrt(x)
+        assert t[0, 0].imag == 0.0
+
+    @pytest.mark.parametrize("x", [1.0 + 1.0j, 2.0 - 1e-6j, 1j])
+    def test_one_by_one_nonreal_diagonal(self, x):
+        with pytest.raises(ValueError):
+            cholesky_upper(np.array([[x]]))
+
+    @pytest.mark.parametrize("x", [0.0, -1.0, -1e-300, 0j, -4.0 + 0j])
+    def test_one_by_one_nonpositive(self, x):
+        with pytest.raises(np.linalg.LinAlgError):
+            cholesky_upper(np.array([[x]]))
+
 
 class TestLrNorm:
     def test_unit_cross(self):
