@@ -8,11 +8,13 @@ horizontally and vertically, never through the dense blocks. A merge uses
 that both blocks' bases on the shared side are already orthonormal: one is
 orthogonalized against the other by block classical Gram-Schmidt with one
 reorthogonalization pass (CGS2), and only the small (r1 + r2)-square core
-gets a truncated SVD. The leaf compressions run on a process pool, or
-inline for one worker; the merges then run in the calling process, level by
-level over a grid of block SVDs. Leaves and merges alike run on
-single-threaded BLAS, so results are bitwise identical at every worker
-count.
+gets a truncated SVD. The leaves of one block-row share their rows and
+differ in width by at most one; they are compressed in lockstep
+(``baca_lockstep``) as one task. The tasks run on a process pool, or inline
+for one worker; the merges then run in the calling process, level by level
+over a grid of block SVDs. The tasks depend only on the index trees, and
+leaves and merges alike run on single-threaded BLAS, so results are
+bitwise identical at every worker count.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .aca import DEGENERATE
-from .baca import baca_compress
+from .baca import baca_compress, baca_lockstep
 from .linalg import TruncatedSVD, _householder_qr, truncated_svd
 from .seeding import block_seed
 
@@ -168,7 +170,10 @@ def merge_pair_vertical(top, bottom, tol):
 
 class LeafRecord(NamedTuple):
     """One leaf compression: BACA iterations, rank accumulated before the
-    final recompression, rank after it, wall seconds and termination."""
+    final recompression, rank after it, wall seconds and termination. The
+    leaves of one block-row run in lockstep as one task, so ``seconds`` is
+    that task's wall time split evenly across its leaves; at one worker the
+    leaves' seconds add up to at most ``HBacaDiagnostics.leaf_seconds``."""
 
     iterations: int
     rank_accumulated: int
@@ -198,14 +203,16 @@ class HBacaDiagnostics:
     merge_seconds: float = 0.0
 
 
-def _leaf_task(oracle, row_range, col_range, cfg):
-    # oracle is None inside a pool worker, which holds its own copy
+def _row_task(oracle, row_range, col_ranges, configs):
+    # the leaves of one block-row, in lockstep; oracle is None inside a pool
+    # worker, which holds its own copy
     if oracle is None:
         oracle = _worker_oracle
     t0 = time.perf_counter()
-    sub = oracle.subblock(row_range[0], row_range[1], col_range[0], col_range[1])
-    svd, history = baca_compress(sub, cfg)
-    return svd, _leaf_record(svd, history, time.perf_counter() - t0)
+    leaves = [oracle.subblock(row_range[0], row_range[1], lo, hi) for lo, hi in col_ranges]
+    results = baca_lockstep(leaves, configs)
+    share = (time.perf_counter() - t0) / len(leaves)
+    return [(svd, _leaf_record(svd, history, share)) for svd, history in results]
 
 
 # Oracle shared with pool workers through the initializer: shipped once per
@@ -299,25 +306,30 @@ def _noop():
 
 
 def _compress_leaves(oracle, jobs, workers):
-    """``_leaf_task`` over ``jobs`` of (row range, column range, config), in
-    job order, and the seconds the tasks took.
+    """``_row_task`` over ``jobs`` of (row range, column ranges, configs),
+    in job order, and the seconds the tasks took.
 
     One worker runs them inline; more run them on a process pool of at most
-    one process per leaf, every worker holding its own copy of the oracle.
-    The workers are started before the clock and shut down after it.
+    one process per task, every worker holding its own copy of the oracle.
+    The workers are started before the clock and shut down after it; when a
+    task raises, the tasks not yet started are cancelled.
     """
     workers = min(workers, len(jobs))
     if workers == 1:
         t0 = time.perf_counter()
-        results = [_leaf_task(oracle, *job) for job in jobs]
+        results = [_row_task(oracle, *job) for job in jobs]
         return results, time.perf_counter() - t0
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                              initargs=(oracle,)) as pool:
         for f in [pool.submit(_noop) for _ in range(workers)]:
             f.result()
         t0 = time.perf_counter()
-        futures = [pool.submit(_leaf_task, None, *job) for job in jobs]
-        results = [f.result() for f in futures]
+        futures = [pool.submit(_row_task, None, *job) for job in jobs]
+        try:
+            results = [f.result() for f in futures]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
         return results, time.perf_counter() - t0
 
 
@@ -344,13 +356,14 @@ def hbaca_compress(oracle, n_blocks, config, workers=1):
         Leaf compressor settings; block size 1 gives hierarchical plain
         cross approximation. Leaf seeds derive from (config.seed, block id).
     workers : int
-        Process pool size for the leaf compressions, capped at n_blocks; 1
-        runs them inline. The merges run in the calling process after the
-        pool has shut down. Leaves and merges run on single-threaded BLAS,
-        so this is the number of cores the call uses, and the result is
-        bitwise identical at every worker count. The caller's BLAS thread
-        count is restored on return or raise; n_blocks=1 runs at that
-        count.
+        Process pool size for the leaf compressions, which run one task
+        per block-row of sqrt(n_blocks) leaves in lockstep, so the pool is
+        capped at sqrt(n_blocks); 1 runs them inline. The merges run in the
+        calling process after the pool has shut down. Leaves and merges run
+        on single-threaded BLAS, so this is the number of cores the call
+        uses, and the result is bitwise identical at every worker count.
+        The caller's BLAS thread count is restored on return or raise;
+        n_blocks=1 runs at that count.
 
     Returns
     -------
@@ -398,19 +411,19 @@ def hbaca_compress(oracle, n_blocks, config, workers=1):
     # pool workers
     diag = HBacaDiagnostics()
     with _single_threaded_blas:
-        jobs = [(row_range, col_range,
-                 replace(config, seed=block_seed(config.seed, i * side + j)))
-                for i, row_range in enumerate(row_tree.leaves())
-                for j, col_range in enumerate(col_tree.leaves())]
+        jobs = [(row_range, col_tree.leaves(),
+                 [replace(config, seed=block_seed(config.seed, i * side + j))
+                  for j in range(side)])
+                for i, row_range in enumerate(row_tree.leaves())]
         results, diag.leaf_seconds = _compress_leaves(oracle, jobs, workers)
         grid = [[None] * side for _ in range(side)]
-        for k, (svd, record) in enumerate(results):
-            i, j = divmod(k, side)
-            grid[i][j] = BlockSVD((0, i), (0, j), svd)
-            diag.block_ranks[(0, i, j)] = svd.rank
-            diag.leaves[i, j] = record
-            if record.termination == DEGENERATE:
-                diag.degenerate_blocks.append((i, j))
+        for i, row in enumerate(results):
+            for j, (svd, record) in enumerate(row):
+                grid[i][j] = BlockSVD((0, i), (0, j), svd)
+                diag.block_ranks[(0, i, j)] = svd.rank
+                diag.leaves[i, j] = record
+                if record.termination == DEGENERATE:
+                    diag.degenerate_blocks.append((i, j))
         diag.level_max_rank.append(max(b.rank for row in grid for b in row))
 
         t0 = time.perf_counter()

@@ -208,46 +208,52 @@ def _pairwise_sq(xr, xc):
     return sq
 
 
-# extent -> the shared read-only np.arange(extent) of full_range
-_FULL_RANGES = {}
-_FULL_RANGES_KEPT = 64
+# (lo, hi) -> the shared read-only np.arange(lo, hi) of _index_run. The
+# bound holds the row and column runs of 32 x 32 leaves and the full ranges;
+# a run dropped from it is still served, after a scan.
+_RUNS = {}
+_RUNS_KEPT = 128
+
+
+def _index_run(lo, hi):
+    """``np.arange(lo, hi)`` as one shared read-only array per run.
+
+    ``_as_run`` recognizes a shared run by identity in O(1), where any
+    other run costs a pass over its entries. To a custom oracle it is a
+    plain integer array.
+    """
+    idx = _RUNS.get((lo, hi))
+    if idx is None:
+        if len(_RUNS) >= _RUNS_KEPT:
+            _RUNS.clear()
+        idx = np.arange(lo, hi)
+        idx.flags.writeable = False
+        _RUNS[lo, hi] = idx
+    return idx
 
 
 def full_range(extent):
-    """``np.arange(extent)`` as one shared read-only array per extent.
-
-    The sweeps ask for whole rows and columns with it; ``_as_run``
-    recognizes it by identity in O(1), where any other run costs a pass
-    over its entries. To a custom oracle it is a plain integer array.
-    """
-    idx = _FULL_RANGES.get(extent)
-    if idx is None:
-        if len(_FULL_RANGES) >= _FULL_RANGES_KEPT:
-            _FULL_RANGES.clear()
-        idx = np.arange(extent)
-        idx.flags.writeable = False
-        _FULL_RANGES[extent] = idx
-    return idx
+    """``np.arange(extent)`` as a shared run; the sweeps ask for whole rows
+    and columns with it."""
+    return _index_run(0, extent)
 
 
 def _as_run(idx, extent):
     """``slice(lo, hi)`` when ``idx`` is a 1-d integer array holding the
     ascending run lo, lo+1, ..., hi-1 with 0 <= lo and hi <= extent;
     otherwise ``idx`` as an array, for fancy indexing with its usual
-    shape and IndexError semantics. The shared ``full_range(extent)`` is
-    recognized by identity, without reading its entries."""
-    full = _FULL_RANGES.get(extent)
-    if full is not None and idx is full:
-        return slice(0, extent)
+    shape and IndexError semantics. A shared ``_index_run`` is recognized
+    by identity, without reading more than its ends."""
     idx = np.asarray(idx)
     if idx.ndim != 1 or idx.size == 0 or idx.dtype.kind not in "iu":
         return idx
     lo = int(idx[0])
     hi = int(idx[-1]) + 1
-    # O(1) rejections first: only a candidate run pays for the diff
+    # O(1) rejections first: only a candidate run that is not a shared one
+    # pays for the diff
     if lo < 0 or hi > extent or hi - lo != idx.size:
         return idx
-    if idx.size > 2 and not (np.diff(idx) == 1).all():
+    if idx is not _RUNS.get((lo, hi)) and idx.size > 2 and not (np.diff(idx) == 1).all():
         return idx
     return slice(lo, hi)
 
@@ -260,8 +266,9 @@ class EntryOracle:
     write to, and returns the (len(row_idx), len(col_idx)) block as an
     array the caller owns and may overwrite. The compressors ask for whole
     rows and columns as the shared ``full_range`` arrays; the oracles here
-    serve an ascending contiguous run by slicing instead of gathering (the
-    full range recognized in O(1)), and a custom oracle can do the same.
+    serve an ascending contiguous run by slicing instead of gathering (a
+    shared run recognized in O(1); a subblock passes a whole-range request
+    on to its base as such a run), and a custom oracle can do the same.
     The base implementation loops over ``element``; subclasses override
     it. Instances are immutable after construction and safe to share
     across workers.
@@ -390,10 +397,10 @@ class SubblockOracle(EntryOracle):
         if not (0 <= col_lo <= col_hi <= base.cols):
             raise ValueError("column range out of bounds")
         self.base = base
-        # base indices of the subblock's rows and columns; indexing them
-        # wraps and bounds-checks like a dense array
-        self.row_index = np.arange(row_lo, row_hi)
-        self.col_index = np.arange(col_lo, col_hi)
+        # base indices of the subblock's rows and columns, as shared runs;
+        # indexing them wraps and bounds-checks like a dense array
+        self.row_index = _index_run(row_lo, row_hi)
+        self.col_index = _index_run(col_lo, col_hi)
         self.rows = row_hi - row_lo
         self.cols = col_hi - col_lo
         self.dtype = base.dtype
@@ -402,7 +409,14 @@ class SubblockOracle(EntryOracle):
         return self.base.element(self.row_index[i], self.col_index[j])
 
     def block(self, row_idx, col_idx):
-        return self.base.block(self.row_index[row_idx], self.col_index[col_idx])
+        return self.base.block(_restrict(self.row_index, row_idx),
+                               _restrict(self.col_index, col_idx))
+
+
+def _restrict(run, idx):
+    # the entries idx of a subblock's shared run: a whole-range request
+    # forwards the run itself, which the base recognizes in O(1)
+    return run if idx is _RUNS.get((0, run.size)) else run[idx]
 
 
 def kernel_oracle(kernel, cloud):

@@ -192,15 +192,12 @@ class FactorBuffer:
 
 
 def _column_norms_sq(a):
+    # squared norms of the columns of a matrix, or of each matrix in a stack
     if a.dtype.kind == "c":
-        return np.einsum("ij,ij->j", a.real, a.real) + np.einsum(
-            "ij,ij->j", a.imag, a.imag
+        return np.einsum("...ij,...ij->...j", a.real, a.real) + np.einsum(
+            "...ij,...ij->...j", a.imag, a.imag
         )
-    return np.einsum("ij,ij->j", a, a)
-
-
-def _norm(x):
-    return float(np.sqrt(np.vdot(x, x).real))
+    return np.einsum("...ij,...ij->...j", a, a)
 
 
 def _unit_outside(qk):
@@ -211,7 +208,118 @@ def _unit_outside(qk):
     x = -(qk @ qk[i].conj())
     x[i] += 1.0
     x -= qk @ (x.conj() @ qk).conj()
-    return x / _norm(x)
+    return x / np.sqrt(np.vdot(x, x).real)
+
+
+def _qrcp_stack(a, cap, tol=None, eligible=None, lengths=None):
+    """Column-pivoted CGS2 QR of every matrix in the (B, m, n) stack ``a``,
+    in lockstep: each elimination step makes one numpy call per operation
+    for the whole stack. ``qrcp`` is the stack of one.
+
+    Slice b runs ``cap[b]`` steps, or with ``tol`` stops earlier by qrcp's
+    tolerance rule, pivoting only on the columns where ``eligible[b]`` is
+    set (all when None). Its first ``lengths[b]`` rows (all when None) are
+    its matrix; rows past them must be zero padding, and a substitute unit
+    vector for a column in the span stays inside them. The caller checks
+    that ``a`` is finite.
+
+    Returns ``(qt, rows, t, piv, rank)``. With k = rank[b], slice b's
+    factorization is q = ``qt[b, :k].T``, the coefficients ``rows[b, :k]``
+    of q^H a as computed row by row (the pivot columns' entries without
+    their reorthogonalization), the upper triangular ``t[b, :k, :k]`` in
+    pivot order and the pivots ``piv[b, :k]``; entries past k are scratch.
+    """
+    nb, m, n = a.shape
+    kmax = int(cap.max(initial=0))
+    qt = np.empty((nb, kmax, m), dtype=a.dtype)  # row i is column i of q
+    rows = np.empty((nb, kmax, n), dtype=a.dtype)
+    t = np.zeros((nb, kmax, kmax), dtype=a.dtype)
+    piv = np.zeros((nb, kmax), dtype=np.intp)
+    rank = cap.copy()
+    # running squared norms (first plane) and the floors below which they
+    # count as cancelled (second); -inf marks a column never to be chosen
+    norms = np.empty((2, nb, n))
+    norms[0] = _column_norms_sq(a)
+    if eligible is not None:
+        norms[0][~eligible] = -np.inf
+    norms[1] = DOWNDATE_RTOL**2 * norms[0]
+    slices = np.arange(nb)
+    live = np.ones(nb, dtype=bool)
+    ends = set(cap.tolist())
+
+    def retire(done):
+        # a finished slice's state is scratch from here on: it is never
+        # refreshed, and its later steps write only past its rank
+        live[done] = False
+        norms[:, done] = -np.inf
+
+    if 0 in ends:
+        retire(cap == 0)
+    for step in range(kmax):
+        mx = norms[0].max(axis=1)
+        j = np.argmax(norms[0] >= (mx * (1.0 - 2.0 * TIE_RTOL))[:, None], axis=1)
+        if mx.min() <= 0.0:
+            # every free norm is zero: the lowest free column
+            for b in np.flatnonzero((mx <= 0.0) & live):
+                free = np.ones(n, dtype=bool) if eligible is None else eligible[b].copy()
+                free[piv[b, :step]] = False
+                j[b] = np.argmax(free)
+        x = a[slices, :, j]
+        qk = qt[:, :step]
+        if step:
+            # the first pass reuses the stored coefficients q_i^H a_j
+            prev = rows[slices, :step, j]
+            x -= np.matmul(prev[:, None, :], qk)[:, 0]
+            first = np.sqrt(np.vecdot(x, x).real)
+            coef = np.vecdot(qk, x[:, None, :])
+            x -= np.matmul(coef[:, None, :], qk)[:, 0]
+            t[:, :step, step] = prev + coef
+        diag = np.sqrt(np.vecdot(x, x).real)
+        if not step:
+            first = first_diag = diag
+        if tol is not None:
+            stop = live & (diag <= tol * first_diag)
+            if stop.any():
+                rank[stop] = step
+                retire(stop)
+                if not live.any():
+                    break
+
+        # A second pass that cancels more than half of the first means the
+        # column lies in the span to working precision: x is rounding noise
+        # and any unit vector outside the span serves (Parlett's "twice is
+        # enough").
+        weak = diag <= 0.5 * first
+        if weak.any():
+            for b in np.flatnonzero(weak & live):
+                mb = m if lengths is None else lengths[b]
+                x[b] = 0.0
+                x[b, :mb] = _unit_outside(qk[b, :, :mb].T)
+            np.divide(x, np.where(weak, 1.0, diag)[:, None], out=qt[:, step])
+        else:
+            np.divide(x, diag[:, None], out=qt[:, step])
+        np.matmul(qt[:, step, None].conj(), a, out=rows[:, step, None])
+        t[:, step, step] = diag
+        piv[:, step] = j
+        if step + 1 == kmax:
+            break
+        if step + 1 in ends:
+            retire(cap == step + 1)
+
+        row = rows[:, step]
+        norms[0] -= (row * row.conj()).real
+        # a pivoted column is never selected nor refreshed again
+        norms[:, slices, j] = -np.inf
+        # negative or cancelled running norms are recomputed
+        stale = norms[0] < norms[1]
+        if stale.any():
+            k = step + 1
+            for b in np.flatnonzero(stale.any(axis=1)):
+                cols = np.flatnonzero(stale[b])
+                fresh = _column_norms_sq(a[b][:, cols] - qt[b, :k].T @ rows[b][:k, cols])
+                norms[0, b, cols] = fresh
+                norms[1, b, cols] = DOWNDATE_RTOL**2 * fresh
+    return qt, rows, t, piv, rank
 
 
 def qrcp(a, rank=None, tol=None):
@@ -245,60 +353,18 @@ def qrcp(a, rank=None, tol=None):
     if rank is not None and not 0 <= rank <= min(m, n):
         raise ValueError(f"rank must be in [0, {min(m, n)}], got {rank}")
 
-    kmax = min(m, n) if rank is None else rank
-    q = np.empty((m, kmax), dtype=a.dtype, order="F")
-    # row i is q_i^H a, columns in their original order
-    rows = np.zeros((kmax, n), dtype=a.dtype)
-    piv = np.empty(kmax, dtype=np.intp)
+    cap = np.array([min(m, n) if rank is None else rank])
+    # one memory layout, so the bits never depend on the caller's
+    qt, rows, t, piv, k = _qrcp_stack(np.ascontiguousarray(a)[None], cap, tol=tol)
+    k = int(k[0])
+    selected = piv[0, :k]
+    rows = rows[0, :k]
+    # the pivot columns take their reorthogonalized coefficients
+    rows[:, selected] = np.where(np.tri(k, dtype=bool).T, t[0, :k, :k], rows[:, selected])
     free = np.ones(n, dtype=bool)
-    norms2 = _column_norms_sq(a)
-    floor2 = DOWNDATE_RTOL**2 * norms2
-
-    first_diag = None
-    k = 0
-    for step in range(kmax):
-        j = argmax_tied_sq(norms2)
-        if not free[j]:
-            # every free norm is zero: the lowest free column
-            j = int(np.argmax(free))
-        qk = q[:, :step]
-        # the first pass reuses the stored coefficients q_i^H a_j
-        x = a[:, j] - qk @ rows[:step, j]
-        first = _norm(x)
-        coef = (x.conj() @ qk).conj()
-        x -= qk @ coef
-        diag = _norm(x)
-        if first_diag is None:
-            first_diag = diag
-        if tol is not None and diag <= tol * first_diag:
-            break
-
-        # A second pass that cancels more than half of the first means the
-        # column lies in the span to working precision: x is rounding noise
-        # and any unit vector outside the span serves (Parlett's "twice is
-        # enough").
-        q[:, step] = x / diag if diag > 0.5 * first else _unit_outside(qk)
-        row = np.dot(q[:, step].conj(), a, out=rows[step])
-        rows[:step, j] += coef
-        row[j] = diag
-        piv[step] = j
-        free[j] = False
-        k = step + 1
-        if k == kmax:
-            break
-
-        norms2 -= (row * row.conj()).real
-        # a pivoted column is never selected nor refreshed again
-        norms2[j] = floor2[j] = -np.inf
-        # negative or cancelled running norms are recomputed
-        stale = np.flatnonzero(norms2 < floor2)
-        if stale.size:
-            fresh = _column_norms_sq(a[:, stale] - q[:, :k] @ rows[:k, stale])
-            norms2[stale] = fresh
-            floor2[stale] = DOWNDATE_RTOL**2 * fresh
-
-    pivots = np.concatenate([piv[:k], np.flatnonzero(free)])
-    return QRCPResult(q=q[:, :k], rows=rows[:k], pivots=pivots, rank=k)
+    free[selected] = False
+    pivots = np.concatenate([selected, np.flatnonzero(free)])
+    return QRCPResult(q=qt[0, :k].T, rows=rows, pivots=pivots, rank=k)
 
 
 def epsilon_rank(sigma, tol):
@@ -331,6 +397,19 @@ def _empty_svd(m, n, dtype):
     )
 
 
+def _conj_t(a):
+    # conjugate transpose of each matrix in a stack
+    return a.conj().swapaxes(-1, -2)
+
+
+def _check_hermitian(a):
+    # every matrix of the stack Hermitian to 1e-12 of its largest entry
+    scale = np.abs(a).max(axis=(-2, -1), initial=0.0)
+    skew = np.abs(a - _conj_t(a)).max(axis=(-2, -1), initial=0.0)
+    if (skew > 1e-12 * np.maximum(scale, 1e-300)).any():
+        raise ValueError("matrix is not Hermitian to 1e-12")
+
+
 def cholesky_upper(a):
     """Upper-triangular T with ``T^H T = a`` for Hermitian positive-definite
     ``a``; raises np.linalg.LinAlgError when a nonpositive pivot appears."""
@@ -340,17 +419,35 @@ def cholesky_upper(a):
         raise ValueError(f"matrix must be square, got {a.shape}")
     if m == 0:
         return a.copy()
-    scale = np.abs(a).max()
-    if np.abs(a - a.conj().T).max() > 1e-12 * max(scale, 1e-300):
-        raise ValueError("matrix is not Hermitian to 1e-12")
+    _check_hermitian(a)
     return np.linalg.cholesky(a).conj().T
 
 
-def _lr_norm_qr(u, v):
-    # Rank-deficient fallback: ||UV||_F via thin QR of U and V^H.
-    ru = np.linalg.qr(u, mode="r")
-    rv = np.linalg.qr(v.conj().T, mode="r")
-    return float(np.linalg.norm(ru @ rv.conj().T))
+def _lr_norms(u, v, rank):
+    """Frobenius norms of the products ``u[b] @ v[b]`` over a stack, each in
+    O(n r^2) without forming it.
+
+    Slice b's columns of u and rows of v past ``rank[b]`` must be zero. The
+    norms come from Cholesky factors of the two Gram matrices, which take
+    identity blocks past the rank so that the leading factors are those of
+    the slice alone; when any Gram matrix of the stack is numerically
+    rank-deficient, from thin QRs of u and v^H for the whole stack.
+    """
+    inner = np.arange(u.shape[2]) < rank[:, None]
+    pad = ~(inner[:, :, None] & inner[:, None, :])
+    eye = np.eye(u.shape[2])
+    grams = [np.matmul(_conj_t(u), u), np.matmul(v, _conj_t(v))]
+    for g in grams:
+        _check_hermitian(g)
+    try:
+        lu, lv = (np.linalg.cholesky(np.where(pad, eye, g)) for g in grams)
+    except np.linalg.LinAlgError:
+        ru = np.linalg.qr(u, mode="r")
+        rv = np.linalg.qr(_conj_t(v), mode="r")
+        return np.linalg.norm(ru @ _conj_t(rv), axis=(1, 2))
+    core = _conj_t(lu) @ lv
+    core[pad] = 0.0
+    return np.linalg.norm(core, axis=(1, 2))
 
 
 def lr_norm(u, v):
@@ -365,12 +462,7 @@ def lr_norm(u, v):
         raise ValueError(f"inner dimensions disagree: {u.shape} vs {v.shape}")
     if u.shape[1] == 0 or u.shape[0] == 0 or v.shape[1] == 0:
         return 0.0
-    try:
-        t1 = cholesky_upper(u.conj().T @ u)
-        t2 = cholesky_upper(v @ v.conj().T)
-    except np.linalg.LinAlgError:
-        return _lr_norm_qr(u, v)
-    return float(np.linalg.norm(t1 @ t2.conj().T))
+    return float(_lr_norms(u[None], v[None], np.array([u.shape[1]]))[0])
 
 
 def cross_inner(u, v, ubar, vbar):

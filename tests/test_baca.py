@@ -3,9 +3,23 @@ import pytest
 
 import lrcompress.aca as aca_mod
 from helpers import exact_rank_matrix, gram_epsilon_rank, rel_fro
-from lrcompress.aca import CONVERGED, DEGENERATE, EXHAUSTED, AcaConfig, aca_compress
-from lrcompress.baca import BacaConfig, baca_compress, lrid, select_pivot_blocks
-from lrcompress.kernels import dense_oracle, product_of_random_oracle
+from lrcompress.aca import (
+    CONVERGED,
+    DEGENERATE,
+    EXHAUSTED,
+    FULL_RANK,
+    RANK_CAP,
+    AcaConfig,
+    aca_compress,
+)
+from lrcompress.baca import (
+    BacaConfig,
+    baca_compress,
+    baca_lockstep,
+    lrid,
+    select_pivot_blocks,
+)
+from lrcompress.kernels import EntryOracle, dense_oracle, product_of_random_oracle
 from lrcompress.linalg import argmax_tied_sq, lr_norm
 from lrcompress.seeding import make_rng
 
@@ -263,3 +277,85 @@ class TestBacaCompress:
         for max_rank in (0, -1):
             with pytest.raises(ValueError):
                 BacaConfig(block_size=4, tol=1e-6, max_rank=max_rank)
+
+
+def _dead_half(m, n):
+    # zero left half, rank 6 right half: seed 10 starts on the dead half
+    rng = make_rng(60)
+    a = np.zeros((m, n))
+    a[:, n // 2:] = rng.standard_normal((m, 6)) @ rng.standard_normal((6, n - n // 2))
+    return a
+
+
+class TestLockstep:
+    def test_each_sweep_is_the_one_it_runs_alone(self):
+        # one block-row: 32 rows, widths 32 and 31, and sweeps that retry,
+        # stop degenerate, converge, hit the rank cap and run to full rank
+        # at different iterations
+        cases = [
+            (_dead_half(32, 32), dict(seed=10)),
+            (np.zeros((32, 31)), dict(seed=1)),
+            (exact_rank_matrix(71, 32, 31, 3), dict(seed=2)),
+            (exact_rank_matrix(72, 32, 32, 12), dict(seed=3)),
+            (exact_rank_matrix(73, 32, 31, 5), dict(seed=4, max_rank=4)),
+            # full rank, one column apart: their last blocks differ in size
+            (make_rng(77).standard_normal((32, 31)), dict(seed=5)),
+            (make_rng(78).standard_normal((32, 32)), dict(seed=6)),
+        ]
+        oracles = [dense_oracle(a) for a, _ in cases]
+        configs = [BacaConfig(block_size=4, tol=1e-9, **kw) for _, kw in cases]
+        together = baca_lockstep(oracles, configs)
+        for oracle, config, (svd, history) in zip(oracles, configs, together):
+            alone, alone_history = baca_compress(oracle, config)
+            assert history.blocks == alone_history.blocks
+            assert history.termination == alone_history.termination
+            assert svd.rank == alone.rank
+            assert rel_fro(svd.matrix(), alone.matrix()) <= 1e-12
+        assert [history.termination for _, history in together] == [
+            CONVERGED, DEGENERATE, CONVERGED, CONVERGED, RANK_CAP, FULL_RANK, FULL_RANK]
+        assert len({history.iterations for _, history in together}) > 2
+        for (a, _), (svd, history) in zip(cases, together):
+            if history.termination == CONVERGED:
+                assert rel_fro(svd.matrix(), a) <= 1e-10
+
+    def test_block_size_one_group_matches_plain_sweeps(self):
+        mats = [make_rng(90 + k).standard_normal((24, 24 - k % 2)) for k in range(4)]
+        oracles = [dense_oracle(a) for a in mats]
+        together = baca_lockstep(oracles, [BacaConfig(block_size=1, tol=1e-6, seed=k)
+                                           for k in range(4)])
+        for k, (oracle, (_, history)) in enumerate(zip(oracles, together)):
+            _, plain = aca_compress(oracle, AcaConfig(tol=1e-6, seed=k))
+            assert history.blocks == plain.blocks
+            assert history.termination == plain.termination
+
+    def test_complex_group(self):
+        rng = make_rng(74)
+        mats = []
+        for n in (20, 19, 20):
+            u = rng.standard_normal((18, 4)) + 1j * rng.standard_normal((18, 4))
+            v = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
+            mats.append(u @ v)
+        together = baca_lockstep([dense_oracle(a) for a in mats],
+                                 [BacaConfig(block_size=3, tol=1e-10, seed=k) for k in range(3)])
+        for a, (svd, _) in zip(mats, together):
+            assert svd.u.dtype == np.complex128
+            assert svd.rank == 4
+            assert rel_fro(svd.matrix(), a) <= 1e-10
+
+    def test_non_finite_residual_raises(self):
+        a = exact_rank_matrix(75, 16, 16, 3)
+        a[5, :] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            baca_lockstep([dense_oracle(exact_rank_matrix(76, 16, 16, 3)), _NanOracle(a)],
+                          [BacaConfig(block_size=2, tol=1e-8, seed=k) for k in range(2)])
+
+
+class _NanOracle(EntryOracle):
+    # an oracle that may hold NaNs, which DenseOracle refuses up front
+    def __init__(self, a):
+        self.a = a
+        self.rows, self.cols = a.shape
+        self.dtype = a.dtype
+
+    def block(self, rows, cols):
+        return self.a[np.ix_(rows, cols)]

@@ -19,7 +19,12 @@ from lrcompress.hmerge import (
     merge_pair_horizontal,
     merge_pair_vertical,
 )
-from lrcompress.kernels import DenseOracle, dense_oracle, product_of_random_oracle
+from lrcompress.kernels import (
+    DenseOracle,
+    LowRankProductOracle,
+    dense_oracle,
+    product_of_random_oracle,
+)
 from lrcompress.linalg import TruncatedSVD, truncated_svd
 from lrcompress.seeding import make_rng
 
@@ -347,6 +352,9 @@ class TestHBaca:
             assert leaf.seconds > 0.0
             assert (leaf.termination == DEGENERATE) == ((i, j) in diag.degenerate_blocks)
         assert sum(leaf.seconds for leaf in diag.leaves.values()) <= diag.leaf_seconds
+        # a block-row runs as one task: its wall time is split evenly
+        for i in range(4):
+            assert len({diag.leaves[i, j].seconds for j in range(4)}) == 1
 
     def test_single_block_leaf_record(self):
         oracle = product_of_random_oracle(40, 6, seed=70)
@@ -475,6 +483,22 @@ class _SingleThreadOnlyOracle(DenseOracle):
         return super().block(row_idx, col_idx)
 
 
+class _FailingRowOracle(LowRankProductOracle):
+    # picklable; appends the first row of every block-row task that starts
+    # to a log file, and fails the task of block-row 0 at once
+    def __init__(self, u, v, log):
+        super().__init__(u, v)
+        self.log = log
+
+    def subblock(self, row_lo, row_hi, col_lo, col_hi):
+        if col_lo == 0:
+            with open(self.log, "a") as fh:
+                fh.write(f"{row_lo}\n")
+        if row_lo == 0:
+            raise RuntimeError("leaf failure")
+        return super().subblock(row_lo, row_hi, col_lo, col_hi)
+
+
 def _recording_merges(monkeypatch, record):
     # wraps the merges hbaca_compress looks up as module attributes; the
     # wrappers are closures, which cannot be pickled to a pool worker
@@ -524,7 +548,8 @@ class TestLeafOnlyPool:
         assert svd.rank == 6
         assert pids == [os.getpid()] * (8 + 4 + 2 + 1)
 
-    def test_pool_is_capped_at_the_leaf_count(self, monkeypatch):
+    def test_pool_is_capped_at_the_task_count(self, monkeypatch):
+        # one task per block-row of leaves: 4 leaves make 2 tasks
         sizes = []
         real = hmerge_mod.ProcessPoolExecutor
 
@@ -537,8 +562,18 @@ class TestLeafOnlyPool:
         cfg = BacaConfig(block_size=2, tol=1e-8, seed=4)
         want, _ = hbaca_compress(oracle, 4, cfg, workers=1)
         got, _ = hbaca_compress(oracle, 4, cfg, workers=8)
-        assert sizes == [4]
+        assert sizes == [2]
         assert np.array_equal(got.u, want.u) and np.array_equal(got.vt, want.vt)
+
+    def test_a_failing_task_cancels_the_tasks_not_started(self, tmp_path):
+        u, v = random_factors(17, 2048, 2048, 64)
+        log = tmp_path / "started.txt"
+        oracle = _FailingRowOracle(u, v, str(log))
+        with pytest.raises(RuntimeError, match="leaf failure"):
+            hbaca_compress(oracle, 64, BacaConfig(block_size=8, tol=1e-6, seed=1), workers=2)
+        started = log.read_text().split()
+        assert "0" in started
+        assert len(started) < 8
 
 
 class TestSingleThreadedTasks:
@@ -562,16 +597,23 @@ class TestSingleThreadedTasks:
         assert set(spy.seen) == {caller_blas_threads}
 
     def test_worker_counts_are_bitwise_identical(self, caller_blas_threads):
+        # a complex Hankel strip, and a product whose leaves are 125 and 126
+        # columns wide, at worker counts that do and do not divide the rows
         from lrcompress.kernels import Hankel2DKernel, offdiag_oracle, strip_cloud
 
-        oracle = offdiag_oracle(Hankel2DKernel(300.0), strip_cloud(300.0, 15))
-        cfg = BacaConfig(block_size=8, tol=1e-6, seed=3)
-        a, _ = hbaca_compress(oracle, 16, cfg, workers=1)
-        b, _ = hbaca_compress(oracle, 16, cfg, workers=2)
-        assert a.u.dtype == np.complex128
-        assert np.array_equal(a.u, b.u)
-        assert np.array_equal(a.sigma, b.sigma)
-        assert np.array_equal(a.vt, b.vt)
+        hankel = offdiag_oracle(Hankel2DKernel(300.0), strip_cloud(300.0, 15))
+        cases = [(hankel, 16, BacaConfig(block_size=8, tol=1e-6, seed=3)),
+                 (product_of_random_oracle(1003, 20, seed=16), 64,
+                  BacaConfig(block_size=8, tol=1e-8, seed=5))]
+        for oracle, n_blocks, cfg in cases:
+            (a, da), *others = [hbaca_compress(oracle, n_blocks, cfg, workers=w)
+                                for w in (1, 2, 3)]
+            assert a.u.dtype == oracle.dtype
+            for b, db in others:
+                assert np.array_equal(a.u, b.u)
+                assert np.array_equal(a.sigma, b.sigma)
+                assert np.array_equal(a.vt, b.vt)
+                assert da.block_ranks == db.block_ranks
 
     def test_concurrent_callers_share_one_pin(self, caller_blas_threads):
         # the thread count is process-wide: a caller that restored it while

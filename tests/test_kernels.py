@@ -301,6 +301,43 @@ class TestSubblockBounds:
                 sub.block(rows, cols)
 
 
+def _oracle(kind):
+    # a 64 x 60 oracle of each kind that serves runs by slicing
+    rng = make_rng(62)
+    if kind == "product":
+        return product_of_random_oracle(64, 5, seed=62)
+    if kind == "kernel":
+        return KernelOracle(GaussianKernel(0.7), rng.random((64, 2)), rng.random((60, 2)))
+    return DenseOracle(rng.standard_normal((64, 60)))
+
+
+class TestSubblockWholeRanges:
+    @pytest.mark.parametrize("kind", ["product", "kernel", "dense"])
+    def test_whole_range_requests_skip_the_run_scan(self, kind, monkeypatch):
+        base = _oracle(kind)
+        sub = base.subblock(5, 61, 7, 50)
+        want_cols = base.block(np.arange(5, 61), np.array([9, 30, 31]))
+        want_rows = base.block(np.array([12, 40]), np.arange(7, 50))
+        scans = []
+        real = np.diff
+        monkeypatch.setattr(np, "diff", lambda *args, **kw: scans.append(1) or real(*args, **kw))
+        got_cols = sub.block(full_range(sub.rows), np.array([2, 23, 24]))
+        got_rows = sub.block(np.array([7, 35]), full_range(sub.cols))
+        assert scans == []
+        assert np.array_equal(got_cols, want_cols)
+        assert np.array_equal(got_rows, want_rows)
+
+    def test_block_only_base_gets_plain_integer_arrays(self):
+        a = product_of_random_oracle(30, 4, seed=8).dense()
+        base = _BlockOnlyOracle(a)
+        sub = base.subblock(3, 20, 4, 25)
+        got = sub.block(full_range(sub.rows), full_range(sub.cols))
+        assert np.array_equal(got, a[3:20, 4:25])
+        for idx in base.seen[-1]:
+            assert isinstance(idx, np.ndarray)
+            assert idx.ndim == 1 and idx.dtype.kind in "iu"
+
+
 class _LoopOracle(EntryOracle):
     # base-class block: one element call per entry
     def __init__(self, matrix):

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from helpers import gram_epsilon_rank, householder_qrcp, random_factors, rel_fro
+import lrcompress.linalg as linalg_mod
 from lrcompress.linalg import (
     FactorBuffer,
     _householder_qr,
+    _qrcp_stack,
     cholesky_upper,
     epsilon_rank,
     lr_norm,
@@ -223,6 +225,107 @@ class TestQRCPAgainstHouseholder:
             assert np.abs(fac.q.conj().T @ fac.q - np.eye(r)).max(initial=0.0) <= 1e-12
             err = np.linalg.norm(a[:, fac.pivots[:r]] - fac.q @ fac.t[:, :r])
             assert err <= 1e-12 * norm_a
+
+
+STACK_KINDS = ["gaussian", "graded", "near_parallel", "duplicated", "zero_columns", "zero"]
+
+
+def _stack_slice(kind, shape, complex_, seed):
+    if kind == "zero":
+        return np.zeros(shape, dtype=complex if complex_ else float)
+    return _qrcp_case(kind, shape, complex_, seed)
+
+
+def _counting(monkeypatch, name):
+    # counts the calls made to a linalg helper
+    calls = []
+    real = getattr(linalg_mod, name)
+
+    def wrapped(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(linalg_mod, name, wrapped)
+    return calls
+
+
+class TestQRCPStack:
+    """The stacked kernel against the 2-d qrcp, slice by slice: pivots and
+    rank exact, q, t and the other coefficients within 1e-13."""
+
+    def check_slice(self, stack_out, b, ref, rows=None, cols=None):
+        qt, coeffs, t, piv, rank = stack_out
+        k = ref.rank
+        rows = np.arange(ref.q.shape[0]) if rows is None else rows
+        cols = np.arange(ref.rows.shape[1]) if cols is None else cols
+        assert rank[b] == k
+        assert list(piv[b, :k]) == list(cols[ref.pivots[:k]])
+        q = qt[b, :k].T
+        np.testing.assert_allclose(q[rows], ref.q, rtol=0.0, atol=1e-13)
+        # rows outside the slice's own are padding and stay zero
+        assert not np.delete(q, rows, axis=0).any()
+        np.testing.assert_allclose(t[b, :k, :k], ref.t[:, :k], rtol=0.0, atol=1e-13)
+        rest = ref.pivots[k:]
+        np.testing.assert_allclose(coeffs[b, :k][:, cols[rest]], ref.rows[:, rest],
+                                   rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("mode", ["rank", "tol"])
+    def test_matches_qrcp_slice_by_slice(self, complex_, mode, monkeypatch):
+        slices = [_stack_slice(kind, (8, 40), complex_, seed)
+                  for seed, kind in enumerate(STACK_KINDS)]
+        a = np.stack(slices)
+        stale = _counting(monkeypatch, "_column_norms_sq")
+        outside = _counting(monkeypatch, "_unit_outside")
+        if mode == "rank":
+            cap = np.array([8, 5, 8, 8, 3, 6])
+            out = _qrcp_stack(a, cap)
+            # the duplicated slice runs past its numerical rank: a column
+            # in the span takes the substitute unit vector
+            assert outside
+        else:
+            cap = np.full(len(slices), 8)
+            out = _qrcp_stack(a, cap, tol=1e-10)
+        # beyond the first call and those of the unit vectors, stale
+        # running norms were refreshed
+        assert len(stale) > 1 + len(outside)
+        if mode == "rank":
+            refs = [qrcp(x, rank=int(c)) for x, c in zip(slices, cap)]
+        else:
+            refs = [qrcp(x, tol=1e-10) for x in slices]
+            # tolerance ranks differ from slice to slice
+            assert len({ref.rank for ref in refs}) > 2
+        for b, ref in enumerate(refs):
+            self.check_slice(out, b, ref)
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_masked_columns_and_padded_rows(self, complex_):
+        # slice b is its leading lengths[b] rows and eligible columns only
+        rng = make_rng(40)
+        lengths = np.array([8, 5, 6, 8])
+        slices = [_stack_slice(kind, (8, 30), complex_, 10 + b)
+                  for b, kind in enumerate(["gaussian", "duplicated", "zero_columns", "zero"])]
+        # exact duplicates of three coordinate vectors: past rank 3 every
+        # residual is exactly zero, so the lowest free column is pivoted on
+        # and takes a unit vector inside the slice's five rows
+        slices[1] = 3.0 * np.eye(8)[:, rng.integers(0, 3, 30)].astype(slices[1].dtype)
+        eligible = rng.random((4, 30)) < 0.7
+        eligible[2, :] = True
+        a = np.stack(slices)
+        for b, mb in enumerate(lengths):
+            a[b, mb:] = 0.0
+        for mode in ("rank", "tol"):
+            if mode == "rank":
+                cap = np.array([6, 5, 6, 4])
+                out = _qrcp_stack(a, cap, eligible=eligible, lengths=lengths)
+            else:
+                cap = lengths
+                out = _qrcp_stack(a, cap, tol=1e-10, eligible=eligible, lengths=lengths)
+            for b, mb in enumerate(lengths):
+                cols = np.flatnonzero(eligible[b])
+                sub = a[b, :mb][:, cols]
+                ref = qrcp(sub, rank=int(cap[b])) if mode == "rank" else qrcp(sub, tol=1e-10)
+                self.check_slice(out, b, ref, rows=np.arange(mb), cols=cols)
 
 
 class TestTruncatedSVD:
