@@ -43,21 +43,17 @@ __all__ = ["BacaConfig", "select_pivot_blocks", "lrid", "baca_compress", "baca_l
 
 @dataclass(frozen=True)
 class BacaConfig:
-    """Block size, tolerance, seed, optional rank cap and the number of
-    fresh column blocks tried after a zero-rank update before giving up."""
+    """Block size, tolerance, seed and optional rank cap."""
 
     block_size: int
     tol: float
     seed: int = 0
     max_rank: int | None = None
-    max_degenerate_retries: int = 3
 
     def __post_init__(self):
         if self.block_size < 1:
             raise ValueError("block_size must be >= 1")
         _check_config(self)
-        if self.max_degenerate_retries < 0:
-            raise ValueError("max_degenerate_retries must be >= 0")
 
 
 def select_pivot_blocks(oracle, u, v, col_block, used_rows, used_cols, d):
@@ -208,17 +204,24 @@ def baca_compress(oracle, config):
     return baca_lockstep([oracle], [config])[0]
 
 
+# fresh column blocks a sweep tries after a zero-rank update before it ends
+# degenerate
+MAX_DEGENERATE_RETRIES = 3
+
+
 def baca_lockstep(oracles, configs):
     """Compress several entry oracles by blocked cross approximation in
     lockstep; ``baca_compress`` is the case of one.
 
     Every oracle runs its own sweep with its own config (seed, tolerance,
-    block size, rank cap, retries), factors, masks, history and stopping
+    block size, rank cap), factors, masks, history and stopping
     rules. Each iteration selects the pivot blocks of all sweeps still
     running with two stacked qrcps, forms their updates with one stacked
     tolerance qrcp and solve, and takes their norms in one
     stacked call, so that one numpy call serves every sweep. A sweep that
-    stops drops out of the stack; a degenerate update retries on its own.
+    stops drops out of the stack; after a zero-rank update a sweep tries up
+    to ``MAX_DEGENERATE_RETRIES`` fresh column blocks on its own before it
+    ends degenerate.
     Each result is the one the sweep gives alone, up to rounding in the
     padded stacks.
 
@@ -262,7 +265,7 @@ def baca_lockstep(oracles, configs):
                 continue
             k = d_k[g]
             if k == 0:
-                if retries[b] >= configs[b].max_degenerate_retries:
+                if retries[b] >= MAX_DEGENERATE_RETRIES:
                     sweep.stop(DEGENERATE)
                     continue
                 retries[b] += 1

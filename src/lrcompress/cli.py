@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -84,23 +84,7 @@ class RunSummary:
     degenerate: bool
 
     def to_dict(self):
-        return {
-            "algorithm": self.algorithm,
-            "kernel": self.kernel,
-            "n": int(self.n),
-            "d": int(self.d),
-            "n_b": int(self.n_b),
-            "epsilon": float(self.epsilon),
-            "seed": int(self.seed),
-            "workers": int(self.workers),
-            "rank": int(self.rank),
-            "rel_error": None if self.rel_error is None else float(self.rel_error),
-            "time_leaf_s": float(self.time_leaf_s),
-            "time_merge_s": float(self.time_merge_s),
-            "time_total_s": float(self.time_total_s),
-            "level_ranks": [int(r) for r in self.level_ranks],
-            "degenerate": bool(self.degenerate),
-        }
+        return asdict(self)
 
 
 def build_oracle(config):
@@ -194,7 +178,10 @@ def _write_summary(summary, path):
 
 def run_job(config):
     """Build the oracle, run the selected algorithm, verify and write
-    outputs as requested; returns the RunSummary."""
+    outputs as requested; returns the RunSummary.
+
+    A flat run (aca, baca) is one leaf: its leaf time is the whole call,
+    its merge time 0 and its level ranks the one final rank."""
     if config.algorithm not in ALGORITHMS:
         raise UsageError(f"unknown algorithm {config.algorithm!r}")
     if config.algorithm != "hbaca" and config.n_blocks != 1:
@@ -204,48 +191,29 @@ def run_job(config):
             "--history-out is only meaningful for aca/baca (hierarchical runs "
             "have one history per leaf block)"
         )
+    if config.verify_cap < 1:
+        raise UsageError("--verify-cap must be >= 1")
     oracle = build_oracle(config)
 
     t0 = time.perf_counter()
-    history = None
     if config.algorithm == "aca":
-        factors, history = aca_compress(
-            oracle, AcaConfig(tol=config.tol, seed=config.seed)
-        )
-        leaf_s = time.perf_counter() - t0
-        merge_s = 0.0
-        result = factors
-        rank = factors.rank
-        level_ranks = [rank]
-        degenerate = history.degenerate
-        d_used = 1
-        n_b = 1
+        result, info = aca_compress(oracle, AcaConfig(config.tol, config.seed))
     elif config.algorithm == "baca":
-        result, history = baca_compress(
-            oracle, BacaConfig(block_size=config.d, tol=config.tol, seed=config.seed)
-        )
-        leaf_s = time.perf_counter() - t0
-        merge_s = 0.0
-        rank = result.rank
-        level_ranks = [rank]
-        degenerate = history.degenerate
-        d_used = config.d
-        n_b = 1
+        result, info = baca_compress(oracle, BacaConfig(config.d, config.tol, config.seed))
     else:
-        result, diag = hbaca_compress(
-            oracle,
-            config.n_blocks,
-            BacaConfig(block_size=config.d, tol=config.tol, seed=config.seed),
-            workers=config.workers,
-        )
-        leaf_s = diag.leaf_seconds
-        merge_s = diag.merge_seconds
-        rank = result.rank
-        level_ranks = list(diag.level_max_rank)
-        degenerate = bool(diag.degenerate_blocks)
-        d_used = config.d
-        n_b = config.n_blocks
+        result, info = hbaca_compress(oracle, config.n_blocks,
+                                      BacaConfig(config.d, config.tol, config.seed),
+                                      workers=config.workers)
     total_s = time.perf_counter() - t0
+
+    if config.algorithm == "hbaca":
+        leaf_s, merge_s = info.leaf_seconds, info.merge_seconds
+        level_ranks = list(info.level_max_rank)
+        degenerate = bool(info.degenerate_blocks)
+    else:
+        leaf_s, merge_s = total_s, 0.0
+        level_ranks = [result.rank]
+        degenerate = info.degenerate
 
     rel_error = None
     if config.verify:
@@ -255,12 +223,12 @@ def run_job(config):
         algorithm=config.algorithm,
         kernel=config.kernel,
         n=oracle.rows,
-        d=d_used,
-        n_b=n_b,
-        epsilon=config.tol,
+        d=1 if config.algorithm == "aca" else config.d,
+        n_b=config.n_blocks,
+        epsilon=float(config.tol),
         seed=config.seed,
         workers=config.workers,
-        rank=rank,
+        rank=result.rank,
         rel_error=rel_error,
         time_leaf_s=leaf_s,
         time_merge_s=merge_s,
@@ -268,8 +236,8 @@ def run_job(config):
         level_ranks=level_ranks,
         degenerate=degenerate,
     )
-    if config.history_out and history is not None:
-        write_history(history, config.history_out)
+    if config.history_out:
+        write_history(info, config.history_out)
     if config.summary_out:
         _write_summary(summary, config.summary_out)
     return summary
@@ -277,49 +245,28 @@ def run_job(config):
 
 def _add_job_flags(p):
     p.add_argument("--kernel", choices=KERNELS, required=True)
-    p.add_argument("--n", type=int, default=0,
+    p.add_argument("--n", type=int,
                    help="points per side of the off-diagonal block / matrix size")
-    p.add_argument("--inner-rank", type=int, default=32,
-                   help="inner rank of the prodrand kernel")
-    p.add_argument("--h", type=float, default=1.0,
-                   help="Gaussian width / polynomial regularization")
-    p.add_argument("--wavenumber", type=float, default=None)
-    p.add_argument("--ppw", type=float, default=15.0,
-                   help="points per wavelength for the strip geometry")
-    p.add_argument("--dim", type=int, default=8,
-                   help="dimension of generated random point clouds")
-    p.add_argument("--points-file", default=None,
+    p.add_argument("--inner-rank", type=int, help="inner rank of the prodrand kernel")
+    p.add_argument("--h", type=float, help="Gaussian width / polynomial regularization")
+    p.add_argument("--wavenumber", type=float)
+    p.add_argument("--ppw", type=float, help="points per wavelength for the strip geometry")
+    p.add_argument("--dim", type=int, help="dimension of generated random point clouds")
+    p.add_argument("--points-file",
                    help="point rows (kernels) or matrix rows (dense-file)")
-    p.add_argument("--d", type=int, default=8, help="block size")
-    p.add_argument("--eps", type=float, default=1e-6, dest="eps",
-                   help="relative tolerance")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--d", type=int, help="block size")
+    p.add_argument("--eps", type=float, dest="tol", metavar="EPS", help="relative tolerance")
+    p.add_argument("--seed", type=int)
     p.add_argument("--verify", action="store_true",
                    help="densify the oracle and report the relative error")
-    p.add_argument("--verify-cap", type=int, default=VERIFY_CAP_DEFAULT)
+    p.add_argument("--verify-cap", type=int)
 
 
-def _job_from_args(args, algorithm, n_blocks, workers):
-    return JobConfig(
-        kernel=args.kernel,
-        algorithm=algorithm,
-        n=args.n,
-        inner_rank=args.inner_rank,
-        h=args.h,
-        wavenumber=args.wavenumber,
-        ppw=args.ppw,
-        dim=args.dim,
-        points_file=args.points_file,
-        d=args.d,
-        n_blocks=n_blocks,
-        tol=args.eps,
-        seed=args.seed,
-        workers=workers,
-        verify=args.verify,
-        history_out=getattr(args, "history_out", None),
-        summary_out=getattr(args, "summary_out", None),
-        verify_cap=args.verify_cap,
-    )
+def _job_from_args(args, **overrides):
+    # flags not given are absent from args, so JobConfig supplies every default
+    given = vars(args)
+    job = JobConfig(**{f.name: given[f.name] for f in fields(JobConfig) if f.name in given})
+    return replace(job, **overrides)
 
 
 def _int_list(text):
@@ -336,50 +283,48 @@ def main(argv=None):
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run one compression job")
+    run_p = sub.add_parser("run", help="run one compression job",
+                           argument_default=argparse.SUPPRESS)
     _add_job_flags(run_p)
-    run_p.add_argument("--algorithm", choices=ALGORITHMS, default="baca")
-    run_p.add_argument("--nb", type=int, default=1, dest="nb",
+    run_p.add_argument("--algorithm", choices=ALGORITHMS)
+    run_p.add_argument("--nb", type=int, dest="n_blocks", metavar="NB",
                        help="leaf block count for hbaca (power of 4)")
-    run_p.add_argument("--workers", type=int, default=1)
-    run_p.add_argument("--strict", action="store_true",
+    run_p.add_argument("--workers", type=int)
+    run_p.add_argument("--strict", action="store_true", default=False,
                        help="exit nonzero on degenerate termination")
-    run_p.add_argument("--history-out", default=None)
-    run_p.add_argument("--summary-out", default=None)
+    run_p.add_argument("--history-out")
+    run_p.add_argument("--summary-out")
 
     scal_p = sub.add_parser(
         "scaling",
         help="rerun one hbaca config across workers x block-count sweeps",
+        argument_default=argparse.SUPPRESS,
     )
     _add_job_flags(scal_p)
-    scal_p.add_argument("--nb", type=_int_list, default=[1], dest="nb",
+    scal_p.add_argument("--nb", type=_int_list, default=[1], dest="n_blocks", metavar="NB",
                         help="comma-separated block counts, e.g. 1,4,16")
     scal_p.add_argument("--workers", type=_int_list, default=[1],
                         help="comma-separated worker counts, e.g. 1,2,4")
-    scal_p.add_argument("--out", default=None, help="combined CSV path (default stdout)")
+    scal_p.add_argument("--out", help="combined CSV path (default stdout)")
 
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            summary = run_job(_job_from_args(args, args.algorithm, args.nb, args.workers))
+            summary = run_job(_job_from_args(args))
             print(json.dumps(summary.to_dict()))
-            if args.strict and summary.degenerate:
-                return 1
-            return 0
+            return 1 if args.strict and summary.degenerate else 0
         return _run_scaling(args)
-    except (UsageError, kernels.PointFileError, kernels.GeometryError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def _run_scaling(args):
     lines = ["workers,n_b,rank,rel_error,time_leaf_s,time_merge_s,time_total_s,degenerate"]
-    for n_b in args.nb:
+    for n_b in args.n_blocks:
         for workers in args.workers:
-            summary = run_job(_job_from_args(args, "hbaca", n_b, workers))
+            summary = run_job(_job_from_args(args, algorithm="hbaca", n_blocks=n_b,
+                                             workers=workers))
             err = "" if summary.rel_error is None else repr(summary.rel_error)
             lines.append(
                 f"{workers},{n_b},{summary.rank},{err},"
@@ -387,7 +332,7 @@ def _run_scaling(args):
                 f"{summary.time_total_s!r},{int(summary.degenerate)}"
             )
     text = "\n".join(lines) + "\n"
-    if args.out:
+    if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import rel_fro
+from lrcompress import cli
 from lrcompress.aca import ConvergenceHistory, IterationRecord
 from lrcompress.cli import (
     JobConfig,
@@ -168,6 +169,20 @@ class TestRunJob:
         assert s1.rank == s2.rank
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_flat_run_is_one_leaf(self):
+        s = run_job(prodrand_job(algorithm="aca", d=8))
+        assert (s.d, s.n_b) == (1, 1)
+        assert s.level_ranks == [s.rank]
+        assert s.time_merge_s == 0.0
+        assert s.time_leaf_s == s.time_total_s
+
+    def test_hierarchical_summary_splits_the_call(self):
+        s = run_job(prodrand_job(algorithm="hbaca", n_blocks=16))
+        assert (s.d, s.n_b) == (8, 16)
+        assert len(s.level_ranks) == 3
+        assert s.level_ranks[-1] == s.rank
+        assert s.time_leaf_s + s.time_merge_s <= s.time_total_s
+
     def test_history_refused_for_hierarchical(self):
         with pytest.raises(UsageError):
             run_job(prodrand_job(algorithm="hbaca", n_blocks=4, history_out="x.csv"))
@@ -211,6 +226,33 @@ class TestMain:
         rc = main(["run", "--kernel", "prodrand", "--n", "0"])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cap", ["-100", "0"])
+    def test_verify_cap_below_one_is_usage_error(self, cap, capsys):
+        rc = main([
+            "run", "--kernel", "prodrand", "--n", "64", "--inner-rank", "4",
+            "--verify", "--verify-cap", cap,
+        ])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--verify-cap" in captured.err
+
+    @pytest.mark.parametrize("command, want", [
+        (["run"], JobConfig(kernel="prodrand")),
+        (["scaling"], JobConfig(kernel="prodrand", algorithm="hbaca")),
+    ])
+    def test_flag_defaults_are_the_job_defaults(self, monkeypatch, command, want):
+        seen = []
+        summary = run_job(prodrand_job(n=16, inner_rank=2))
+
+        def fake_run_job(config):
+            seen.append(config)
+            return summary
+
+        monkeypatch.setattr(cli, "run_job", fake_run_job)
+        assert main(command + ["--kernel", "prodrand"]) == 0
+        assert seen == [want]
 
     def test_strict_flags_degenerate_run(self, tmp_path, capsys):
         path = tmp_path / "zero.txt"
