@@ -174,9 +174,11 @@ def _lrid_stack(ct, w, r, ki, kj, tol):
     qt, _, t, jbar, d_k = _qrcp_stack(w, np.minimum(ki, kj), tol=tol, eligible=eligible,
                                        lengths=ki)
     inner = np.arange(jbar.shape[1]) < d_k[:, None]
-    # past the rank T is the identity, so each slice's leading rows of
-    # inv(T) Q^H are its own
+    # past the rank T is the identity and Q^H zero, so each slice's leading
+    # rows of inv(T) Q^H are its own; qrcp may leave those rows of qt
+    # unwritten, and garbage there would reach the leading rows as 0 * inf
     t = np.where(inner[:, :, None] & inner[:, None, :], t, np.eye(jbar.shape[1]))
+    qt[~inner] = 0.0
     v = np.matmul(np.linalg.solve(t, qt.conj()), r)
     v[~inner] = 0.0
     ut = ct[np.arange(len(ct))[:, None], jbar]

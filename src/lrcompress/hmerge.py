@@ -11,10 +11,14 @@ reorthogonalization pass (CGS2), and only the small (r1 + r2)-square core
 gets a truncated SVD. The leaves of one block-row share their rows and
 differ in width by at most one; they are compressed in lockstep
 (``baca_lockstep``) as one task. The tasks run on a process pool, or inline
-for one worker; the merges then run in the calling process, level by level
-over a grid of block SVDs. The tasks depend only on the index trees, and
-leaves and merges alike run on single-threaded BLAS, so results are
-bitwise identical at every worker count.
+for one worker; the merges then run in the calling process, subtree by
+subtree: a depth-first walk of the block quadtree merges each 2x2 group of
+siblings as soon as its children exist and releases each child once it is
+merged, so the merge phase holds the leaves plus at most one partial
+root-to-leaf path. The tasks depend only on the index trees, each merge
+gets the inputs a level-by-level sweep would give it, and leaves and
+merges alike run on single-threaded BLAS, so results are bitwise identical
+at every worker count.
 """
 
 from __future__ import annotations
@@ -126,7 +130,10 @@ def _merge_side_by_side(a, b, tol):
     core[ra:, ra:] = r * b.sigma
     c = truncated_svd(core, tol)
     u = a.u @ c.u[:ra] + q_times(c.u[ra:])
-    vt = np.hstack([c.vt[:, :ra] @ a.vt, c.vt[:, ra:] @ b.vt])
+    na = a.vt.shape[1]
+    vt = np.empty((c.rank, na + b.vt.shape[1]), dtype=np.result_type(c.vt, a.vt, b.vt))
+    np.matmul(c.vt[:, :ra], a.vt, out=vt[:, :na])
+    np.matmul(c.vt[:, ra:], b.vt, out=vt[:, na:])
     return TruncatedSVD(u=u, sigma=c.sigma, vt=vt)
 
 
@@ -359,7 +366,10 @@ def hbaca_compress(oracle, n_blocks, config, workers=1):
         Process pool size for the leaf compressions, which run one task
         per block-row of sqrt(n_blocks) leaves in lockstep, so the pool is
         capped at sqrt(n_blocks); 1 runs them inline. The merges run in the
-        calling process after the pool has shut down. Leaves and merges run
+        calling process after the pool has shut down, subtree by subtree
+        (depth first over the block quadtree): each child block is released
+        once it is merged, so the merge phase holds the leaves plus at most
+        one partial root-to-leaf path. Leaves and merges run
         on single-threaded BLAS, so this is the number of cores the call
         uses, and the result is bitwise identical at every worker count.
         The caller's BLAS thread count is restored on return or raise;
@@ -416,32 +426,49 @@ def hbaca_compress(oracle, n_blocks, config, workers=1):
                   for j in range(side)])
                 for i, row_range in enumerate(row_tree.leaves())]
         results, diag.leaf_seconds = _compress_leaves(oracle, jobs, workers)
-        grid = [[None] * side for _ in range(side)]
-        for i, row in enumerate(results):
-            for j, (svd, record) in enumerate(row):
-                grid[i][j] = BlockSVD((0, i), (0, j), svd)
-                diag.block_ranks[(0, i, j)] = svd.rank
-                diag.leaves[i, j] = record
-                if record.termination == DEGENERATE:
-                    diag.degenerate_blocks.append((i, j))
-        diag.level_max_rank.append(max(b.rank for row in grid for b in row))
+        grid = [[BlockSVD((0, i), (0, j), svd) for j, (svd, _) in enumerate(row)]
+                for i, row in enumerate(results)]
+        diag.leaves = {(i, j): record for i, row in enumerate(results)
+                       for j, (_, record) in enumerate(row)}
+        # from here on the grid holds the only reference to each leaf
+        del results
+        for (i, j), record in diag.leaves.items():
+            diag.block_ranks[0, i, j] = record.rank
+            if record.termination == DEGENERATE:
+                diag.degenerate_blocks.append((i, j))
 
         t0 = time.perf_counter()
-        for level in range(1, levels + 1):
-            # horizontal half-step on every row of blocks, then the vertical
-            # step on the half-step results
-            half = [[merge_pair_horizontal(row[j], row[j + 1], config.tol)
-                     for j in range(0, len(row), 2)] for row in grid]
-            grid = [[merge_pair_vertical(top, bottom, config.tol)
-                     for top, bottom in zip(half[i], half[i + 1])]
-                    for i in range(0, len(half), 2)]
-            for i, row in enumerate(grid):
-                for j, block in enumerate(row):
-                    diag.block_ranks[(level, i, j)] = block.rank
-            diag.level_max_rank.append(max(b.rank for row in grid for b in row))
+        root = _merge_subtree(grid, levels, 0, 0, config.tol, diag.block_ranks)
         diag.merge_seconds = time.perf_counter() - t0
 
-    return grid[0][0].svd, diag
+    # the walk records ranks depth first; list them level by level, row by row
+    diag.block_ranks = dict(sorted(diag.block_ranks.items()))
+    for level in range(levels + 1):
+        diag.level_max_rank.append(
+            max(rank for (l, _, _), rank in diag.block_ranks.items() if l == level))
+    return root.svd, diag
+
+
+def _merge_subtree(grid, level, i, j, tol, ranks):
+    """Block (i, j) of ``level``, merged depth first from the leaf blocks
+    under it in ``grid``.
+
+    The top pair of children is merged horizontally as soon as both exist,
+    then the bottom pair, then the two halves vertically. Each leaf is taken
+    out of ``grid``, and each child released once merged, so the walk holds
+    the unmerged leaves plus at most one partial root-to-leaf path. Merged
+    blocks' ranks are recorded in ``ranks`` under (level, i, j).
+    """
+    if level == 0:
+        block, grid[i][j] = grid[i][j], None
+        return block
+    halves = [merge_pair_horizontal(_merge_subtree(grid, level - 1, row, 2 * j, tol, ranks),
+                                    _merge_subtree(grid, level - 1, row, 2 * j + 1, tol, ranks),
+                                    tol)
+              for row in (2 * i, 2 * i + 1)]
+    block = merge_pair_vertical(*halves, tol)
+    ranks[level, i, j] = block.rank
+    return block
 
 
 @dataclass(frozen=True)

@@ -530,10 +530,16 @@ def _householder_qr(a):
 def lr_recompress(u, v, tol):
     """SVD re-compression of a low-rank product ``u @ v`` at tolerance ``tol``.
 
-    Computes thin Householder QRs of u and v^H and a truncated SVD of the
+    Computes thin Householder QRs of u and v^T and a truncated SVD of the
     small core product, then applies the two Q factors to the core's
     singular vectors from their reflectors, never forming them; never
     increases the rank beyond the inner dimension.
+
+    Working memory is the two reflector sets, one the size of each input
+    factor, plus the outputs: v^T is factored as it is, and the conjugation
+    that v^H would need falls on the small R factor and the core's vectors;
+    u is formed and its reflectors dropped before vt is formed, and no
+    full-size output is conjugated.
     """
     u = checked_matrix(u, "u")
     v = checked_matrix(v, "v")
@@ -544,11 +550,11 @@ def lr_recompress(u, v, tol):
     dtype = np.result_type(u.dtype, v.dtype)
     if r == 0 or m == 0 or n == 0:
         return _empty_svd(m, n, dtype)
+    # v^T = conj(Q_v) conj(R_v) for the QR v^H = Q_v R_v, so R_v^H = tv.T
+    # and vt = core.vt Q_v^H = (conj(Q_v) core.vt^T)^T
     tu, qu_times = _householder_qr(u)
-    tv, qv_times = _householder_qr(v.conj().T)
-    core = truncated_svd(tu @ tv.conj().T, tol)
-    return TruncatedSVD(
-        u=qu_times(core.u),
-        sigma=core.sigma,
-        vt=qv_times(core.vt.conj().T).conj().T,
-    )
+    tv, qv_times = _householder_qr(v.T)
+    core = truncated_svd(tu @ tv.T, tol)
+    u = qu_times(core.u)
+    del qu_times
+    return TruncatedSVD(u=u, sigma=core.sigma, vt=qv_times(core.vt.T).T)

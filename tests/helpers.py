@@ -1,5 +1,6 @@
 """Shared test utilities: independent oracles and small matrix builders."""
 
+import tracemalloc
 from decimal import Decimal, getcontext
 
 import numpy as np
@@ -25,6 +26,20 @@ def gram_epsilon_rank(a, tol):
         return 0
     below = np.nonzero(sigma < tol * sigma[0])[0]
     return int(below[0]) if below.size else int(sigma.size)
+
+
+def traced_peak(fn):
+    """``fn()`` and the peak bytes that tracemalloc traced during the call
+    above what was traced before it. numpy reports its array data to
+    tracemalloc; LAPACK's workspace is not traced."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 def rel_fro(approx, exact):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import lrcompress.aca as aca_mod
+import lrcompress.linalg as linalg_mod
 from helpers import exact_rank_matrix, gram_epsilon_rank, rel_fro
 from lrcompress.aca import (
     CONVERGED,
@@ -19,7 +20,15 @@ from lrcompress.baca import (
     lrid,
     select_pivot_blocks,
 )
-from lrcompress.kernels import EntryOracle, dense_oracle, product_of_random_oracle
+from lrcompress.hmerge import hbaca_compress
+from lrcompress.kernels import (
+    EntryOracle,
+    Hankel2DKernel,
+    dense_oracle,
+    offdiag_oracle,
+    product_of_random_oracle,
+    strip_cloud,
+)
 from lrcompress.linalg import argmax_tied_sq, lr_norm
 from lrcompress.seeding import make_rng
 
@@ -359,3 +368,55 @@ class _NanOracle(EntryOracle):
 
     def block(self, rows, cols):
         return self.a[np.ix_(rows, cols)]
+
+
+class _NanFilledEmpty:
+    """numpy, except that ``empty`` fills floating arrays with NaN: memory a
+    kernel reads before writing it then poisons the result, whatever the
+    allocator happens to return."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(*args, **kwargs):
+        out = np.empty(*args, **kwargs)
+        if out.dtype.kind in "fc":
+            out.fill(np.nan)
+        return out
+
+
+class TestUninitializedScratch:
+    # qrcp's scratch rows past a slice's rank are never written; the
+    # interpolative update must not read them
+
+    def test_rank_deficient_intersection(self, monkeypatch):
+        a = exact_rank_matrix(81, 20, 20, 3)
+        rows, cols = np.arange(2, 18, 2), np.arange(1, 17, 2)
+        args = (a[:, cols], a[np.ix_(rows, cols)], a[rows], 1e-8)
+        want = lrid(*args)
+        monkeypatch.setattr(linalg_mod, "np", _NanFilledEmpty())
+        got = lrid(*args)
+        assert got[2] == want[2] == 3
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        assert rel_fro(got[0] @ got[1], a) <= 1e-10
+
+    @pytest.mark.parametrize("workers", [None, 1, 2])
+    def test_hankel_strip(self, monkeypatch, workers):
+        # flat BACA (workers None) and H-BACA at one and two workers
+        oracle = offdiag_oracle(Hankel2DKernel(300.0), strip_cloud(300.0, 15))
+        cfg = BacaConfig(block_size=8, tol=1e-4, seed=5)
+
+        def run():
+            if workers is None:
+                return baca_compress(oracle, cfg)[0]
+            return hbaca_compress(oracle, 16, cfg, workers=workers)[0]
+
+        want = run()
+        # forked pool workers inherit the patch
+        monkeypatch.setattr(linalg_mod, "np", _NanFilledEmpty())
+        got = run()
+        assert np.array_equal(got.u, want.u)
+        assert np.array_equal(got.sigma, want.sigma)
+        assert np.array_equal(got.vt, want.vt)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import lrcompress.hmerge as hmerge_mod
-from helpers import conj_transposed, random_factors, rel_fro
+from helpers import conj_transposed, random_factors, rel_fro, traced_peak
 from lrcompress.aca import DEGENERATE
 from lrcompress.baca import BacaConfig, baca_compress
 from lrcompress.hmerge import (
@@ -21,9 +21,12 @@ from lrcompress.hmerge import (
 )
 from lrcompress.kernels import (
     DenseOracle,
+    Hankel2DKernel,
     LowRankProductOracle,
     dense_oracle,
+    offdiag_oracle,
     product_of_random_oracle,
+    strip_cloud,
 )
 from lrcompress.linalg import TruncatedSVD, truncated_svd
 from lrcompress.seeding import make_rng
@@ -427,6 +430,71 @@ class TestHBaca:
         )
         assert len(diag.degenerate_blocks) == 3
         assert rel_fro(svd.matrix(), a) <= 1e-4
+
+
+def _level_by_level(leaf_svds, tol):
+    # the root and the block ranks of merging every level in full before
+    # the next, from the leaf SVDs in block-row order
+    grid = [[BlockSVD((0, i), (0, j), svd) for j, svd in enumerate(row)]
+            for i, row in enumerate(leaf_svds)]
+    ranks = {(0, i, j): b.rank for i, row in enumerate(grid) for j, b in enumerate(row)}
+    level = 0
+    while len(grid) > 1:
+        level += 1
+        half = [[merge_pair_horizontal(row[j], row[j + 1], tol) for j in range(0, len(row), 2)]
+                for row in grid]
+        grid = [[merge_pair_vertical(top, bottom, tol) for top, bottom in zip(half[i], half[i + 1])]
+                for i in range(0, len(half), 2)]
+        ranks.update(((level, i, j), b.rank) for i, row in enumerate(grid)
+                     for j, b in enumerate(row))
+    return grid[0][0].svd, ranks
+
+
+class TestDepthFirstMerges:
+    @pytest.mark.parametrize("case", ["prodrand-uneven", "hankel-complex"])
+    def test_equal_to_level_by_level_merges(self, monkeypatch, case):
+        if case == "prodrand-uneven":
+            # leaves 125 and 126 columns wide
+            oracle, n_blocks = product_of_random_oracle(1003, 20, seed=16), 64
+            cfg = BacaConfig(block_size=8, tol=1e-8, seed=5)
+        else:
+            oracle = offdiag_oracle(Hankel2DKernel(300.0), strip_cloud(300.0, 15))
+            n_blocks, cfg = 16, BacaConfig(block_size=8, tol=1e-6, seed=3)
+        leaf_svds = []
+        row_task = hmerge_mod._row_task
+
+        def capturing(*args):
+            out = row_task(*args)
+            leaf_svds.append([svd for svd, _ in out])
+            return out
+
+        monkeypatch.setattr(hmerge_mod, "_row_task", capturing)
+        got, diag = hbaca_compress(oracle, n_blocks, cfg, workers=1)
+        # on single-threaded BLAS, as hbaca_compress merges
+        with hmerge_mod._single_threaded_blas:
+            want, ranks = _level_by_level(leaf_svds, cfg.tol)
+        assert np.array_equal(got.u, want.u)
+        assert np.array_equal(got.sigma, want.sigma)
+        assert np.array_equal(got.vt, want.vt)
+        # keys in level-by-level, row-major order
+        assert list(diag.block_ranks.items()) == list(ranks.items())
+        assert diag.level_max_rank == [
+            max(r for (l, _, _), r in ranks.items() if l == level)
+            for level in range(len(diag.level_max_rank))]
+
+    def test_peak_memory_near_the_leaf_factors(self):
+        # the merge phase holds the unmerged leaves plus one partial
+        # root-to-leaf path, not a level's inputs and outputs together
+        n, n_blocks = 2048, 64
+        oracle = product_of_random_oracle(n, 32, seed=1)
+        cfg = BacaConfig(block_size=8, tol=1e-6, seed=1)
+        hbaca_compress(oracle, n_blocks, cfg, workers=1)  # warm call
+        (_, diag), peak = traced_peak(lambda: hbaca_compress(oracle, n_blocks, cfg, workers=1))
+        leaves = build_index_tree(n, 3).leaves()
+        leaf_bytes = sum(
+            rank * (leaves[i][1] - leaves[i][0] + leaves[j][1] - leaves[j][0]) * 8
+            for (level, i, j), rank in diag.block_ranks.items() if level == 0)
+        assert peak <= 1.6 * leaf_bytes
 
 
 def _blas_threads():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import gram_epsilon_rank, householder_qrcp, random_factors, rel_fro
+from helpers import gram_epsilon_rank, householder_qrcp, random_factors, rel_fro, traced_peak
 import lrcompress.linalg as linalg_mod
 from lrcompress.linalg import (
     FactorBuffer,
@@ -679,3 +679,14 @@ class TestLrRecompress:
         np.testing.assert_allclose(res.u.conj().T @ res.u, np.eye(6), atol=1e-13)
         np.testing.assert_allclose(res.vt @ res.vt.conj().T, np.eye(6), atol=1e-13)
         assert rel_fro(res.matrix(), u @ v) <= 1e-13
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_working_memory(self, complex_):
+        # two reflector sets plus the outputs, each about one factor's size:
+        # the peak above the inputs stays within 3.5 average factors
+        m, n, r = 3000, 2800, 64
+        u, v = random_factors(37, m, n, r, complex_=complex_)
+        lr_recompress(u, v, 1e-12)  # warm call
+        res, peak = traced_peak(lambda: lr_recompress(u, v, 1e-12))
+        assert res.rank == r
+        assert peak <= 3.5 * (m + n) * r * u.itemsize / 2
