@@ -50,7 +50,6 @@ from .linalg import (
     LowRankFactors,
     QRCPResult,
     TruncatedSVD,
-    cholesky_upper,
     epsilon_rank,
     lr_norm,
     lr_norm_update,

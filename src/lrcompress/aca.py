@@ -13,6 +13,7 @@ drive the nu < eps * mu stopping test.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -95,11 +96,19 @@ class ConvergenceHistory:
         return [j for b in self.blocks for j in b.cols]
 
 
+def _checked_index(value, name):
+    # an int or numpy integer; a float size would round or fail mid-sweep
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _check_config(config):
     # the tolerance and rank-cap rules both sweep configs share
     if not 0.0 < config.tol < 1.0:
         raise ValueError(f"tol must be in (0, 1), got {config.tol}")
-    if config.max_rank is not None and config.max_rank < 1:
+    if config.max_rank is not None and _checked_index(config.max_rank, "max_rank") < 1:
         raise ValueError("max_rank must be positive when given")
 
 

@@ -27,6 +27,7 @@ from .aca import (
     DEGENERATE,
     EXHAUSTED,
     _check_config,
+    _checked_index,
     _Sweep,
     residual_columns,
     residual_rows,
@@ -51,7 +52,7 @@ class BacaConfig:
     max_rank: int | None = None
 
     def __post_init__(self):
-        if self.block_size < 1:
+        if _checked_index(self.block_size, "block_size") < 1:
             raise ValueError("block_size must be >= 1")
         _check_config(self)
 
@@ -257,7 +258,7 @@ def baca_lockstep(oracles, configs):
             [sweeps[b].used_rows for b in stack], [sweeps[b].used_cols for b in stack],
             d[stack])
         ut, v, d_k, jbar = _lrid_stack(ct, w, r, ki, kj, tol[stack])
-        nu = _lr_norms(ut.swapaxes(1, 2), v, d_k)
+        nu = _lr_norms(ut.swapaxes(1, 2), v)
 
         running = []
         for g, b in enumerate(stack):

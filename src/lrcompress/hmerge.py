@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .aca import DEGENERATE
+from .aca import DEGENERATE, _checked_index
 from .baca import baca_compress, baca_lockstep
 from .linalg import TruncatedSVD, _householder_qr, truncated_svd
 from .seeding import block_seed
@@ -390,7 +390,7 @@ def hbaca_compress(oracle, n_blocks, config, workers=1):
     ``config.tol``, not by ``config.tol`` alone; pass a proportionally
     smaller tolerance when the bound must hold for the whole matrix.
     """
-    if workers < 1:
+    if _checked_index(workers, "workers") < 1:
         raise ValueError("workers must be >= 1")
     levels = _levels_for(n_blocks)
     m, n = oracle.rows, oracle.cols

@@ -3,8 +3,8 @@
 QRCP (greedy column pivoting over left-looking classical Gram-Schmidt with
 one reorthogonalization pass, CGS2) is implemented directly so that pivot
 tie-breaking, partial-rank early exit and the tolerance stopping rule are
-fully under our control; SVD, unpivoted QR and Cholesky defer to LAPACK
-through numpy. Unpivoted QR keeps Q as LAPACK's Householder reflectors and
+fully under our control; SVD and unpivoted QR defer to LAPACK through
+numpy. Unpivoted QR keeps Q as LAPACK's Householder reflectors and
 applies it from them (compact WY form) without ever forming it.
 Everything is generic over float64 and complex128: "transpose" means
 conjugate transpose throughout.
@@ -24,7 +24,6 @@ __all__ = [
     "qrcp",
     "truncated_svd",
     "epsilon_rank",
-    "cholesky_upper",
     "lr_norm",
     "lr_norm_update",
     "lr_recompress",
@@ -397,72 +396,22 @@ def _empty_svd(m, n, dtype):
     )
 
 
-def _conj_t(a):
-    # conjugate transpose of each matrix in a stack
-    return a.conj().swapaxes(-1, -2)
-
-
-def _check_hermitian(a):
-    # every matrix of the stack Hermitian to 1e-12 of its largest entry
-    scale = np.abs(a).max(axis=(-2, -1), initial=0.0)
-    skew = np.abs(a - _conj_t(a)).max(axis=(-2, -1), initial=0.0)
-    if (skew > 1e-12 * np.maximum(scale, 1e-300)).any():
-        raise ValueError("matrix is not Hermitian to 1e-12")
-
-
-def cholesky_upper(a):
-    """Upper-triangular T with ``T^H T = a`` for Hermitian positive-definite
-    ``a``; raises np.linalg.LinAlgError when a nonpositive pivot appears."""
-    a = checked_matrix(a, "a")
-    m, n = a.shape
-    if m != n:
-        raise ValueError(f"matrix must be square, got {a.shape}")
-    if m == 0:
-        return a.copy()
-    _check_hermitian(a)
-    return np.linalg.cholesky(a).conj().T
-
-
-def _lr_norms(u, v, rank):
+def _lr_norms(u, v):
     """Frobenius norms of the products ``u[b] @ v[b]`` over a stack, each in
-    O(n r^2) without forming it.
-
-    Slice b's columns of u and rows of v past ``rank[b]`` must be zero. The
-    norms come from Cholesky factors of the two Gram matrices, which take
-    identity blocks past the rank so that the leading factors are those of
-    the slice alone; when any Gram matrix of the stack is numerically
-    rank-deficient, from thin QRs of u and v^H for the whole stack.
-    """
-    inner = np.arange(u.shape[2]) < rank[:, None]
-    pad = ~(inner[:, :, None] & inner[:, None, :])
-    eye = np.eye(u.shape[2])
-    grams = [np.matmul(_conj_t(u), u), np.matmul(v, _conj_t(v))]
-    for g in grams:
-        _check_hermitian(g)
-    try:
-        lu, lv = (np.linalg.cholesky(np.where(pad, eye, g)) for g in grams)
-    except np.linalg.LinAlgError:
-        ru = np.linalg.qr(u, mode="r")
-        rv = np.linalg.qr(_conj_t(v), mode="r")
-        return np.linalg.norm(ru @ _conj_t(rv), axis=(1, 2))
-    core = _conj_t(lu) @ lv
-    core[pad] = 0.0
-    return np.linalg.norm(core, axis=(1, 2))
+    O((m + n) r^2) as ``||R v||_F`` for the thin QR u = Q R, with no Gram
+    matrix to square the conditioning when ``u v`` cancels. Zero padding
+    past a slice's rank adds nothing."""
+    return np.linalg.norm(np.linalg.qr(u, mode="r") @ v, axis=(1, 2))
 
 
 def lr_norm(u, v):
-    """Frobenius norm of ``u @ v`` in O(n r^2) without forming the product.
-
-    Uses Cholesky factors of the two Gram matrices; falls back to thin QR
-    when a Gram matrix is numerically rank-deficient.
-    """
+    """Frobenius norm of ``u @ v`` in O((m + n) r^2) without forming the
+    product: ``||R v||_F`` for the thin QR u = Q R."""
     u = checked_matrix(u, "u")
     v = checked_matrix(v, "v")
     if u.shape[1] != v.shape[0]:
         raise ValueError(f"inner dimensions disagree: {u.shape} vs {v.shape}")
-    if u.shape[1] == 0 or u.shape[0] == 0 or v.shape[1] == 0:
-        return 0.0
-    return float(_lr_norms(u[None], v[None], np.array([u.shape[1]]))[0])
+    return float(_lr_norms(u[None], v[None])[0])
 
 
 def cross_inner(u, v, ubar, vbar):

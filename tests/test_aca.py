@@ -137,3 +137,12 @@ def test_config_validation():
         AcaConfig(tol=0.0)
     with pytest.raises(ValueError):
         AcaConfig(tol=1.5)
+
+
+def test_non_integer_max_rank_rejected():
+    with pytest.raises(ValueError, match="max_rank must be an integer"):
+        AcaConfig(tol=1e-6, max_rank=2.5)
+    a = make_rng(55).standard_normal((20, 20))
+    factors, history = aca_compress(dense_oracle(a), AcaConfig(tol=1e-12, max_rank=np.int64(3)))
+    assert factors.rank == 3
+    assert history.termination == RANK_CAP

@@ -287,6 +287,16 @@ class TestBacaCompress:
             with pytest.raises(ValueError):
                 BacaConfig(block_size=4, tol=1e-6, max_rank=max_rank)
 
+    def test_non_integer_sizes_rejected(self):
+        with pytest.raises(ValueError, match="block_size must be an integer"):
+            BacaConfig(block_size=2.5, tol=1e-6)
+        with pytest.raises(ValueError, match="max_rank must be an integer"):
+            BacaConfig(block_size=2, tol=1e-6, max_rank=3.5)
+        a = make_rng(26).standard_normal((30, 30))
+        _, history = baca_compress(dense_oracle(a), BacaConfig(
+            block_size=np.int64(4), tol=1e-12, seed=0, max_rank=np.int64(6)))
+        assert history.records[-1].rank == 6
+
 
 def _dead_half(m, n):
     # zero left half, rank 6 right half: seed 10 starts on the dead half

@@ -422,6 +422,17 @@ class TestHBaca:
         with pytest.raises(ValueError):
             hbaca_compress(oracle, 4, cfg, workers=0)
 
+    def test_non_integer_workers_rejected(self):
+        oracle = product_of_random_oracle(32, 4, seed=95)
+        cfg = BacaConfig(block_size=2, tol=1e-6, seed=0)
+        with pytest.raises(ValueError, match="workers must be an integer"):
+            hbaca_compress(oracle, 4, cfg, workers=1.5)
+        want, _ = hbaca_compress(oracle, 4, cfg, workers=1)
+        got, _ = hbaca_compress(oracle, 4, cfg, workers=np.int64(2))
+        assert np.array_equal(got.u, want.u)
+        assert np.array_equal(got.sigma, want.sigma)
+        assert np.array_equal(got.vt, want.vt)
+
     def test_degenerate_leaf_propagates(self):
         a = np.zeros((32, 32))
         a[:16, :16] = make_rng(94).standard_normal((16, 16))

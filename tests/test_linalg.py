@@ -6,8 +6,8 @@ import lrcompress.linalg as linalg_mod
 from lrcompress.linalg import (
     FactorBuffer,
     _householder_qr,
+    _lr_norms,
     _qrcp_stack,
-    cholesky_upper,
     epsilon_rank,
     lr_norm,
     lr_norm_update,
@@ -379,61 +379,6 @@ class TestTruncatedSVD:
         assert epsilon_rank(np.array([1.0, 0.5, 0.5 - 1e-12]), 0.5) == 2
 
 
-class TestCholesky:
-    def test_identity(self):
-        assert np.array_equal(cholesky_upper(np.eye(4)), np.eye(4))
-
-    def test_two_by_two_by_hand(self):
-        t = cholesky_upper(np.array([[4.0, 2.0], [2.0, 2.0]]))
-        assert np.allclose(t, [[2.0, 1.0], [0.0, 1.0]])
-
-    def test_gram_reconstruction(self):
-        g = make_rng(5).standard_normal((8, 3))
-        a = g.T @ g
-        t = cholesky_upper(a)
-        assert rel_fro(t.conj().T @ t, a) <= 1e-12
-        assert np.allclose(np.tril(t, -1), 0.0)
-
-    def test_complex_hermitian(self):
-        rng = make_rng(6)
-        g = rng.standard_normal((10, 4)) + 1j * rng.standard_normal((10, 4))
-        a = g.conj().T @ g
-        t = cholesky_upper(a)
-        assert rel_fro(t.conj().T @ t, a) <= 1e-12
-
-    def test_not_positive_definite(self):
-        with pytest.raises(np.linalg.LinAlgError):
-            cholesky_upper(np.array([[1.0, 2.0], [2.0, 1.0]]))
-
-    def test_not_hermitian(self):
-        with pytest.raises(ValueError):
-            cholesky_upper(np.array([[1.0, 1.0], [0.0, 1.0]]))
-
-    @pytest.mark.parametrize("x", [1.0, 2.0, 4.0, 0.3, 1e-300, 7e250])
-    def test_one_by_one_real_is_sqrt(self, x):
-        t = cholesky_upper(np.array([[x]]))
-        assert t.dtype == np.float64
-        assert t.shape == (1, 1)
-        assert t[0, 0] == np.sqrt(x)
-
-    @pytest.mark.parametrize("x", [1.0, 2.0, 0.3, 5e-200])
-    def test_one_by_one_complex_with_zero_imaginary_part(self, x):
-        t = cholesky_upper(np.array([[complex(x, 0.0)]]))
-        assert t.dtype == np.complex128
-        assert t[0, 0].real == np.sqrt(x)
-        assert t[0, 0].imag == 0.0
-
-    @pytest.mark.parametrize("x", [1.0 + 1.0j, 2.0 - 1e-6j, 1j])
-    def test_one_by_one_nonreal_diagonal(self, x):
-        with pytest.raises(ValueError):
-            cholesky_upper(np.array([[x]]))
-
-    @pytest.mark.parametrize("x", [0.0, -1.0, -1e-300, 0j, -4.0 + 0j])
-    def test_one_by_one_nonpositive(self, x):
-        with pytest.raises(np.linalg.LinAlgError):
-            cholesky_upper(np.array([[x]]))
-
-
 class TestLrNorm:
     def test_unit_cross(self):
         u = np.zeros((6, 1))
@@ -469,6 +414,46 @@ class TestLrNorm:
         u, v = random_factors(11, 18, 22, 3, complex_=True)
         dense = np.linalg.norm(u @ v)
         assert abs(lr_norm(u, v) - dense) <= 1e-12 * dense
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("delta", [1e-4, 1e-6, 1e-7])
+    def test_cancellation_inside_the_product(self, delta, complex_):
+        # u v = delta (x r2 + y r1) from factors of order one: the Gram
+        # matrices of u and v are nearly singular, while the norm of R v
+        # for u = Q R stays accurate to rounding
+        m, n, d = 500, 400, 4
+        for seed in range(20):
+            rng = make_rng(seed)
+
+            def draw(*shape):
+                a = rng.standard_normal(shape)
+                return a + 1j * rng.standard_normal(shape) if complex_ else a
+
+            x, y, mix, r1, r2 = draw(m, d), draw(m, d), draw(d, d), draw(d, n), draw(d, n)
+            u = np.hstack([x, x @ mix + delta * y])
+            v = np.vstack([-mix @ r1 + delta * r2, r1])
+            dense = np.linalg.norm(u @ v)
+            assert abs(lr_norm(u, v) - dense) <= 1e-8 * dense
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_zero_padded_stack(self, complex_):
+        # the layout baca_lockstep passes: u is the transposed view of a
+        # (B, r, m) stack, and slice b is zero past its rank in both factors
+        m, n, width = 40, 30, 8
+        ranks = [0, 1, 3, 8]
+        dtype = np.complex128 if complex_ else np.float64
+        ut = np.zeros((len(ranks), width, m), dtype=dtype)
+        v = np.zeros((len(ranks), width, n), dtype=dtype)
+        for b, r in enumerate(ranks):
+            if r:
+                u_b, v_b = random_factors(20 + b, m, n, r, complex_)
+                ut[b, :r] = u_b.T
+                v[b, :r] = v_b
+        got = _lr_norms(ut.swapaxes(1, 2), v)
+        assert got[0] == 0.0
+        for b, r in enumerate(ranks[1:], start=1):
+            want = lr_norm(ut[b, :r].T, v[b, :r])
+            assert abs(got[b] - want) <= 1e-14 * want
 
 
 class TestLrNormUpdate:
