@@ -415,6 +415,29 @@ class TestLrNorm:
         dense = np.linalg.norm(u @ v)
         assert abs(lr_norm(u, v) - dense) <= 1e-12 * dense
 
+    @pytest.mark.parametrize("x, y", [
+        (0.3, 2.0), (-1.0, 4.0), (0.0, 5.0), (1.0 + 1.0j, 2.0 - 1e-6j), (1j, -4.0 + 0j), (2.0 + 0j, 0.3),
+    ])
+    def test_one_by_one_is_abs_product(self, x, y):
+        # R of a 1x1 u is u up to a unit phase, which the norm drops
+        assert lr_norm(np.array([[x]]), np.array([[y]])) == pytest.approx(abs(x * y), rel=1e-15)
+
+    @pytest.mark.parametrize("u_shape, v_shape", [
+        ((0, 3), (3, 4)), ((5, 0), (0, 4)), ((5, 3), (3, 0)), ((0, 0), (0, 0)),
+    ])
+    def test_empty_factor_shapes(self, u_shape, v_shape):
+        # no early return: the QR of an empty stack and its product are empty
+        for dtype in (np.float64, np.complex128):
+            assert lr_norm(np.ones(u_shape, dtype), np.ones(v_shape, dtype)) == 0.0
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("m, n, r", [(3, 20, 8), (8, 8, 8), (30, 2, 5), (1, 1, 4)])
+    def test_u_wide_square_and_tall(self, m, n, r, complex_):
+        # for m < r, R is m x r trapezoidal and ||R v|| still equals ||u v||
+        u, v = random_factors(13, m, n, r, complex_)
+        dense = np.linalg.norm(u @ v)
+        assert abs(lr_norm(u, v) - dense) <= 1e-13 * dense
+
     @pytest.mark.parametrize("complex_", [False, True])
     @pytest.mark.parametrize("delta", [1e-4, 1e-6, 1e-7])
     def test_cancellation_inside_the_product(self, delta, complex_):
