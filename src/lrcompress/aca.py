@@ -105,11 +105,13 @@ def _checked_index(value, name):
 
 
 def _check_config(config):
-    # the tolerance and rank-cap rules both sweep configs share
+    # the tolerance, rank-cap and seed rules both sweep configs share
     if not 0.0 < config.tol < 1.0:
         raise ValueError(f"tol must be in (0, 1), got {config.tol}")
     if config.max_rank is not None and _checked_index(config.max_rank, "max_rank") < 1:
         raise ValueError("max_rank must be positive when given")
+    if _checked_index(config.seed, "seed") < 0:
+        raise ValueError(f"seed must be nonnegative, got {config.seed}")
 
 
 @dataclass(frozen=True)
@@ -129,21 +131,15 @@ class AcaConfig:
 def residual_columns(oracle, u, v, cols):
     """Columns ``cols`` of the residual ``A - u v`` in the working dtype,
     (m, len(cols))."""
-    c = oracle.block(full_range(oracle.rows), cols).astype(
-        working_dtype(oracle.dtype), copy=False)
-    if u.shape[1]:
-        c = c - u @ v[:, cols]
-    return c
+    c = oracle.block(full_range(oracle.rows), cols)
+    return c.astype(working_dtype(oracle.dtype), copy=False) - u @ v[:, cols]
 
 
 def residual_rows(oracle, u, v, rows):
     """Rows ``rows`` of the residual ``A - u v`` in the working dtype,
     (len(rows), n)."""
-    r = oracle.block(rows, full_range(oracle.cols)).astype(
-        working_dtype(oracle.dtype), copy=False)
-    if u.shape[1]:
-        r = r - u[rows, :] @ v
-    return r
+    r = oracle.block(rows, full_range(oracle.cols))
+    return r.astype(working_dtype(oracle.dtype), copy=False) - u[rows, :] @ v
 
 
 class _Sweep:
@@ -216,6 +212,9 @@ def aca_compress(oracle, config):
         Accumulated factors u (m, r), v (r, n) and the iteration history.
         Row pivots are scaled to 1 at the cross, so u holds the scaled
         residual columns and v the raw residual rows.
+
+    Ends CONVERGED, FULL_RANK, RANK_CAP or DEGENERATE, never EXHAUSTED: each
+    iteration uses one new row and column while rank < rank_cap <= min(m, n).
     """
     sweep = _Sweep(oracle, config)
     factors = sweep.factors
@@ -241,9 +240,6 @@ def aca_compress(oracle, config):
             break
 
         avail_cols = np.flatnonzero(~sweep.used_cols)
-        if avail_cols.size == 0:
-            sweep.stop(EXHAUSTED)
-            break
         j = int(avail_cols[argmax_tied_sq(np.abs(row[avail_cols]) ** 2)])
 
     return LowRankFactors(u=factors.u, v=factors.v), sweep.history

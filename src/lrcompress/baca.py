@@ -171,9 +171,8 @@ def _lrid_stack(ct, w, r, ki, kj, tol):
         v = np.divide(r, w, out=np.zeros(r.shape, np.result_type(r, w)),
                       where=live[:, None, None])
         return ct * live[:, None, None], v, live.astype(np.intp), np.zeros((len(w), 1), np.intp)
-    eligible = None if (kj == w.shape[2]).all() else np.arange(w.shape[2]) < kj[:, None]
-    qt, _, t, jbar, d_k = _qrcp_stack(w, np.minimum(ki, kj), tol=tol, eligible=eligible,
-                                       lengths=ki)
+    qt, _, t, jbar, d_k = _qrcp_stack(w, np.minimum(ki, kj), tol=tol,
+                                       eligible=np.arange(w.shape[2]) < kj[:, None], lengths=ki)
     inner = np.arange(jbar.shape[1]) < d_k[:, None]
     # past the rank T is the identity and Q^H zero, so each slice's leading
     # rows of inv(T) Q^H are its own; qrcp may leave those rows of qt
@@ -224,7 +223,9 @@ def baca_lockstep(oracles, configs):
     stacked call, so that one numpy call serves every sweep. A sweep that
     stops drops out of the stack; after a zero-rank update a sweep tries up
     to ``MAX_DEGENERATE_RETRIES`` fresh column blocks on its own before it
-    ends degenerate.
+    ends degenerate. It ends exhausted when its next column block is empty;
+    an update uses as many new rows and columns as it adds rank, so while
+    rank < rank_cap <= min(m, n) selection and retries find unused ones.
     Each result is the one the sweep gives alone, up to rounding in the
     padded stacks.
 
@@ -263,9 +264,6 @@ def baca_lockstep(oracles, configs):
         running = []
         for g, b in enumerate(stack):
             sweep = sweeps[b]
-            if rows[g].size == 0:
-                sweep.stop(EXHAUSTED)
-                continue
             k = d_k[g]
             if k == 0:
                 if retries[b] >= MAX_DEGENERATE_RETRIES:
@@ -273,9 +271,6 @@ def baca_lockstep(oracles, configs):
                     continue
                 retries[b] += 1
                 avail = np.flatnonzero(~sweep.used_cols)
-                if avail.size == 0:
-                    sweep.stop(EXHAUSTED)
-                    continue
                 cols[b] = np.asarray(sweep.rng.choice(avail, size=min(d[b], avail.size),
                                                       replace=False))
                 running.append(b)

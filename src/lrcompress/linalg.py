@@ -63,10 +63,7 @@ def argmax_tied_sq(sq):
     index wins.
     """
     sq = np.asarray(sq)
-    mx = sq.max()
-    if mx <= 0.0:
-        return 0
-    return int(np.argmax(sq >= mx * (1.0 - 2.0 * TIE_RTOL)))
+    return int(np.argmax(sq >= sq.max() * (1.0 - 2.0 * TIE_RTOL)))
 
 
 @dataclass
@@ -252,17 +249,12 @@ def _qrcp_stack(a, cap, tol=None, eligible=None, lengths=None):
         live[done] = False
         norms[:, done] = -np.inf
 
-    if 0 in ends:
-        retire(cap == 0)
     for step in range(kmax):
+        if step in ends:
+            retire(cap == step)
+        # free norms are >= 0 (stale ones recomputed), others -inf; all zero -> lowest free column
         mx = norms[0].max(axis=1)
         j = np.argmax(norms[0] >= (mx * (1.0 - 2.0 * TIE_RTOL))[:, None], axis=1)
-        if mx.min() <= 0.0:
-            # every free norm is zero: the lowest free column
-            for b in np.flatnonzero((mx <= 0.0) & live):
-                free = np.ones(n, dtype=bool) if eligible is None else eligible[b].copy()
-                free[piv[b, :step]] = False
-                j[b] = np.argmax(free)
         x = a[slices, :, j]
         qk = qt[:, :step]
         if step:
@@ -289,21 +281,16 @@ def _qrcp_stack(a, cap, tol=None, eligible=None, lengths=None):
         # and any unit vector outside the span serves (Parlett's "twice is
         # enough").
         weak = diag <= 0.5 * first
-        if weak.any():
-            for b in np.flatnonzero(weak & live):
-                mb = m if lengths is None else lengths[b]
-                x[b] = 0.0
-                x[b, :mb] = _unit_outside(qk[b, :, :mb].T)
-            np.divide(x, np.where(weak, 1.0, diag)[:, None], out=qt[:, step])
-        else:
-            np.divide(x, diag[:, None], out=qt[:, step])
+        for b in np.flatnonzero(weak & live):
+            mb = m if lengths is None else lengths[b]
+            x[b] = 0.0
+            x[b, :mb] = _unit_outside(qk[b, :, :mb].T)
+        np.divide(x, np.where(weak, 1.0, diag)[:, None], out=qt[:, step])
         np.matmul(qt[:, step, None].conj(), a, out=rows[:, step, None])
         t[:, step, step] = diag
         piv[:, step] = j
         if step + 1 == kmax:
             break
-        if step + 1 in ends:
-            retire(cap == step + 1)
 
         row = rows[:, step]
         norms[0] -= (row * row.conj()).real
@@ -378,30 +365,24 @@ def epsilon_rank(sigma, tol):
 
 def truncated_svd(a, tol):
     """Truncated SVD of a dense matrix at relative tolerance ``tol``."""
-    a = checked_matrix(a, "a")
-    m, n = a.shape
-    if m == 0 or n == 0:
-        return _empty_svd(m, n, a.dtype)
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    u, s, vt = np.linalg.svd(checked_matrix(a, "a"), full_matrices=False)
     r = epsilon_rank(s, tol)
     return TruncatedSVD(u=np.ascontiguousarray(u[:, :r]), sigma=s[:r].copy(),
                         vt=np.ascontiguousarray(vt[:r, :]))
-
-
-def _empty_svd(m, n, dtype):
-    return TruncatedSVD(
-        u=np.zeros((m, 0), dtype=dtype),
-        sigma=np.zeros(0),
-        vt=np.zeros((0, n), dtype=dtype),
-    )
 
 
 def _lr_norms(u, v):
     """Frobenius norms of the products ``u[b] @ v[b]`` over a stack, each in
     O((m + n) r^2) as ``||R v||_F`` for the thin QR u = Q R, with no Gram
     matrix to square the conditioning when ``u v`` cancels. Zero padding
-    past a slice's rank adds nothing."""
-    return np.linalg.norm(np.linalg.qr(u, mode="r") @ v, axis=(1, 2))
+    past a slice's rank adds nothing. Scaling each slice of R v exactly, by a
+    power of two near its largest entry, keeps its squares from under- or
+    overflowing."""
+    rv = np.linalg.qr(u, mode="r") @ v
+    # a subnormal maximum scales only as far as 2^1022 stays finite
+    e = np.maximum(np.frexp(np.abs(rv).max(axis=(1, 2), initial=0.0))[1], -1022)
+    scale = np.ldexp(1.0, -e)
+    return np.linalg.norm(rv * scale[:, None, None], axis=(1, 2)) / scale
 
 
 def lr_norm(u, v):
@@ -417,8 +398,6 @@ def lr_norm(u, v):
 def cross_inner(u, v, ubar, vbar):
     """Re <u @ v, ubar @ vbar> in the Frobenius inner product, via the two
     small Grams (v @ vbar^H) and (u^H @ ubar)."""
-    if u.shape[1] == 0 or ubar.shape[1] == 0:
-        return 0.0
     # conjugate the thin ubar, not a copy of the whole accumulated u
     g1 = (ubar.conj().T @ u).conj().T
     g2 = v @ vbar.conj().T
@@ -494,11 +473,6 @@ def lr_recompress(u, v, tol):
     v = checked_matrix(v, "v")
     if u.shape[1] != v.shape[0]:
         raise ValueError(f"inner dimensions disagree: {u.shape} vs {v.shape}")
-    m, r = u.shape
-    n = v.shape[1]
-    dtype = np.result_type(u.dtype, v.dtype)
-    if r == 0 or m == 0 or n == 0:
-        return _empty_svd(m, n, dtype)
     # v^T = conj(Q_v) conj(R_v) for the QR v^H = Q_v R_v, so R_v^H = tv.T
     # and vt = core.vt Q_v^H = (conj(Q_v) core.vt^T)^T
     tu, qu_times = _householder_qr(u)

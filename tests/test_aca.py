@@ -146,3 +146,19 @@ def test_non_integer_max_rank_rejected():
     factors, history = aca_compress(dense_oracle(a), AcaConfig(tol=1e-12, max_rank=np.int64(3)))
     assert factors.rank == 3
     assert history.termination == RANK_CAP
+
+
+@pytest.mark.parametrize("seed", [2.5, "3", None])
+def test_non_integer_seed_rejected(seed):
+    # SeedSequence would fail on it mid-sweep, or draw fresh entropy for None
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        AcaConfig(tol=1e-6, seed=seed)
+
+
+def test_negative_seed_rejected_and_numpy_integer_accepted():
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        AcaConfig(tol=1e-6, seed=-1)
+    oracle = dense_oracle(make_rng(56).standard_normal((20, 20)))
+    a, ha = aca_compress(oracle, AcaConfig(tol=1e-8, seed=np.int64(4)))
+    b, hb = aca_compress(oracle, AcaConfig(tol=1e-8, seed=4))
+    assert ha.blocks == hb.blocks and np.array_equal(a.u, b.u)

@@ -297,6 +297,16 @@ class TestBacaCompress:
             block_size=np.int64(4), tol=1e-12, seed=0, max_rank=np.int64(6)))
         assert history.records[-1].rank == 6
 
+    def test_seed_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            BacaConfig(block_size=2, tol=1e-6, seed=2.5)
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            BacaConfig(block_size=2, tol=1e-6, seed=-1)
+        oracle = dense_oracle(make_rng(27).standard_normal((30, 30)))
+        a, ha = baca_compress(oracle, BacaConfig(block_size=4, tol=1e-8, seed=np.int64(5)))
+        b, hb = baca_compress(oracle, BacaConfig(block_size=4, tol=1e-8, seed=5))
+        assert ha.blocks == hb.blocks and np.array_equal(a.u, b.u)
+
 
 def _dead_half(m, n):
     # zero left half, rank 6 right half: seed 10 starts on the dead half

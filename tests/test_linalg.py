@@ -379,6 +379,43 @@ class TestTruncatedSVD:
         assert epsilon_rank(np.array([1.0, 0.5, 0.5 - 1e-12]), 0.5) == 2
 
 
+def _assert_empty_svd(res, m, n, dtype):
+    # the factors an empty input has always given: (m, 0) and (0, n) in the
+    # working dtype, C-contiguous, and an empty float64 sigma
+    assert (res.u.shape, res.sigma.shape, res.vt.shape) == ((m, 0), (0,), (0, n))
+    assert res.u.dtype == dtype and res.vt.dtype == dtype
+    assert res.sigma.dtype == np.float64
+    assert res.u.flags.c_contiguous and res.vt.flags.c_contiguous
+
+
+class TestEmptyShapes:
+    @pytest.mark.parametrize("shape", [(0, 5), (4, 0), (0, 0)])
+    @pytest.mark.parametrize("dtype, want", [
+        (np.float64, np.float64), (np.complex128, np.complex128), (np.int64, np.float64),
+    ])
+    def test_truncated_svd(self, shape, dtype, want):
+        _assert_empty_svd(truncated_svd(np.ones(shape, dtype), 1e-8), *shape, want)
+
+    @pytest.mark.parametrize("m, r, n", [(5, 0, 6), (0, 3, 6), (5, 3, 0), (0, 0, 0)])
+    @pytest.mark.parametrize("u_dtype, v_dtype", [
+        (np.float64, np.float64), (np.complex128, np.complex128),
+        (np.float64, np.complex128), (np.complex128, np.float64),
+    ])
+    def test_lr_recompress(self, m, r, n, u_dtype, v_dtype):
+        res = lr_recompress(np.ones((m, r), u_dtype), np.ones((r, n), v_dtype), 1e-8)
+        _assert_empty_svd(res, m, n, np.result_type(u_dtype, v_dtype))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_rank_zero_norm_updates(self, dtype):
+        # a rank-0 side contributes an exactly zero cross term
+        u, v = random_factors(16, 12, 10, 2, complex_=dtype == np.complex128)
+        mu = lr_norm(u, v)
+        none_u, none_v = np.zeros((12, 0), dtype), np.zeros((0, 10), dtype)
+        assert lr_norm_update(u, v, mu, none_u, none_v, 0.0) == mu
+        assert lr_norm_update(none_u, none_v, 0.0, u, v, mu) == mu
+        assert lr_norm_update(none_u, none_v, 0.0, none_u, none_v, 0.0) == 0.0
+
+
 class TestLrNorm:
     def test_unit_cross(self):
         u = np.zeros((6, 1))
@@ -421,6 +458,19 @@ class TestLrNorm:
     def test_one_by_one_is_abs_product(self, x, y):
         # R of a 1x1 u is u up to a unit phase, which the norm drops
         assert lr_norm(np.array([[x]]), np.array([[y]])) == pytest.approx(abs(x * y), rel=1e-15)
+
+    @pytest.mark.parametrize("x, y, want", [
+        (1e-300, 1.0, 1e-300), (7e250, 1e-3, 7e247), (5e-324, 1.0, 5e-324),
+    ])
+    def test_no_underflow_or_overflow(self, x, y, want):
+        # the squares of these entries underflow to 0 or overflow to inf
+        assert lr_norm(np.array([[x]]), np.array([[y]])) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("s", [1e-300, 1e160])
+    def test_scaled_product(self, s, complex_):
+        u, v = random_factors(21, 30, 25, 4, complex_)
+        assert lr_norm(s * u, v) == pytest.approx(s * lr_norm(u, v), rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("u_shape, v_shape", [
         ((0, 3), (3, 4)), ((5, 0), (0, 4)), ((5, 3), (3, 0)), ((0, 0), (0, 0)),
