@@ -32,7 +32,7 @@ from .aca import (
     residual_columns,
     residual_rows,
 )
-from .linalg import _lr_norms, _qrcp_stack, checked_matrix, lr_recompress
+from .linalg import _lr_norms, _qrcp_stack, checked_matrix, lr_recompress, working_dtype
 
 # qrcp stays importable from this module, where perfbench's tracer patches
 # it; the sweeps call the stacked kernel
@@ -227,12 +227,15 @@ def baca_lockstep(oracles, configs):
     an update uses as many new rows and columns as it adds rank, so while
     rank < rank_cap <= min(m, n) selection and retries find unused ones.
     Each result is the one the sweep gives alone, up to rounding in the
-    padded stacks.
+    padded stacks. The oracles must be all real or all complex: one stack
+    has one dtype, and a real sweep's factors cannot take complex updates.
 
     Returns
     -------
     list of (TruncatedSVD, ConvergenceHistory), in oracle order.
     """
+    if len({working_dtype(o.dtype) for o in oracles}) > 1:
+        raise ValueError("a lockstep group must be all real or all complex")
     sweeps = [_Sweep(o, config) for o, config in zip(oracles, configs)]
     d = np.array([min(config.block_size, o.rows, o.cols)
                   for o, config in zip(oracles, configs)])

@@ -137,12 +137,6 @@ def _merge_side_by_side(a, b, tol):
     return TruncatedSVD(u=u, sigma=c.sigma, vt=vt)
 
 
-def _conj_transpose(svd):
-    # SVD of A^H, with both factors C-contiguous
-    return TruncatedSVD(u=np.ascontiguousarray(svd.vt.conj().T), sigma=svd.sigma,
-                        vt=np.ascontiguousarray(svd.u.conj().T))
-
-
 def merge_pair_horizontal(left, right, tol):
     """Merge two side-by-side blocks sharing a row node into their column
     parent: the right row basis is orthogonalized against the left one
@@ -161,17 +155,19 @@ def merge_pair_horizontal(left, right, tol):
 
 def merge_pair_vertical(top, bottom, tol):
     """Merge two stacked blocks sharing a column node into their row parent:
-    the horizontal merge of the conjugate transposes, ``[A; B] =
-    [A^H, B^H]^H``, so the column bases are orthogonalized and U picks up
-    the block diagonal of the old row bases."""
+    the horizontal merge of the transposes, ``[A; B] = [A^T, B^T]^T``, taken
+    as views since ``A^T = vt^T diag(sigma) u^T`` is already an SVD. The
+    column bases are orthogonalized, U picks up the block diagonal of the
+    old row bases, and the result's factors are F-contiguous views."""
     if top.col_node != bottom.col_node:
         raise ValueError("vertical merge requires a shared column node")
     lvl, ti = top.row_node
     bvl, bi = bottom.row_node
     if bvl != lvl or bi != ti + 1 or ti % 2 != 0:
         raise ValueError("vertical merge requires adjacent sibling row nodes")
-    merged = _merge_side_by_side(_conj_transpose(top.svd), _conj_transpose(bottom.svd), tol)
-    out = _conj_transpose(merged)
+    a, b = (TruncatedSVD(u=s.vt.T, sigma=s.sigma, vt=s.u.T) for s in (top.svd, bottom.svd))
+    merged = _merge_side_by_side(a, b, tol)
+    out = TruncatedSVD(u=merged.vt.T, sigma=merged.sigma, vt=merged.u.T)
     return BlockSVD(row_node=(lvl + 1, ti // 2), col_node=top.col_node, svd=out)
 
 
@@ -341,6 +337,7 @@ def _compress_leaves(oracle, jobs, workers):
 
 
 def _levels_for(n_blocks):
+    n_blocks = _checked_index(n_blocks, "n_blocks")
     levels = 0
     while 4**levels < n_blocks:
         levels += 1
@@ -474,36 +471,29 @@ def _merge_subtree(grid, level, i, j, tol, ranks):
 @dataclass(frozen=True)
 class CostModelParams:
     """Inputs of the asymptotic cost model: matrix size, target rank, leaf
-    block count, process count and the per-level rank law ('constant' keeps
-    s_l = r; 'doubling' grows s_l = r 2^(l-L) from leaf to root)."""
+    block count and the per-level rank law ('constant' keeps s_l = r;
+    'doubling' grows s_l = r 2^(l-L) from leaf to root)."""
 
     n: int
     rank: int
     n_blocks: int
-    processes: int = 1
     rank_model: str = "constant"
 
     def __post_init__(self):
         if self.rank_model not in ("constant", "doubling"):
             raise ValueError(f"unknown rank model {self.rank_model!r}")
-        if self.processes < 1:
-            raise ValueError("processes must be >= 1")
 
 
 def cost_model(params):
-    """Asymptotic-unit flop and communication counts for one hierarchical
-    compression (no machine constants).
+    """Asymptotic-unit flop counts for one hierarchical compression (no
+    machine constants).
 
     Leaf work is n_b blocks of size n/sqrt(n_b) at leaf rank s_0; merge work
-    sums 4^(L-l) * n_l * s_l^2 over levels with n_l = 2^l n / sqrt(n_b);
-    message/volume counts follow the grid-merge estimate with p_l = min(4^l,
-    p) processes active at level l. That schedule models the paper's
-    distributed merge; ``hbaca_compress`` runs every merge in the calling
-    process and sends no messages.
+    sums 4^(L-l) * n_l * s_l^2 over levels with n_l = 2^l n / sqrt(n_b).
 
     Returns
     -------
-    dict with keys leaf_flops, merge_flops, messages, volume.
+    dict with keys leaf_flops, merge_flops.
     """
     levels = _levels_for(params.n_blocks)
     sqrt_nb = 2**levels
@@ -515,18 +505,7 @@ def cost_model(params):
 
     leaf_flops = params.n_blocks * (params.n / sqrt_nb) * s(0) ** 2
     merge_flops = 0.0
-    messages = 0.0
-    volume = 0.0
     for l in range(1, levels + 1):
         n_l = 2**l * params.n / sqrt_nb
         merge_flops += 4.0 ** (levels - l) * n_l * s(l) ** 2
-        p_l = min(4**l, params.processes)
-        log_p = np.log2(p_l) if p_l > 1 else 0.0
-        messages += s(l) * log_p
-        volume += n_l * s(l) * log_p / np.sqrt(p_l)
-    return {
-        "leaf_flops": float(leaf_flops),
-        "merge_flops": float(merge_flops),
-        "messages": float(messages),
-        "volume": float(volume),
-    }
+    return {"leaf_flops": float(leaf_flops), "merge_flops": float(merge_flops)}

@@ -173,7 +173,7 @@ def test_criterion_6_linear_cost_in_n():
 def test_criterion_7_cost_model_ratios():
     with criterion(7, "cost model merge-flop scaling", 1.0) as info:
         const = [
-            cost_model(CostModelParams(n=8192, rank=64, n_blocks=nb, processes=nb))
+            cost_model(CostModelParams(n=8192, rank=64, n_blocks=nb))
             for nb in (64, 256, 1024)
         ]
         for lo, hi in zip(const, const[1:]):
@@ -181,7 +181,7 @@ def test_criterion_7_cost_model_ratios():
             assert abs(ratio - 2.0) <= 0.2, f"constant-rank ratio {ratio:.3f}"
         doubling = [
             cost_model(
-                CostModelParams(n=8192, rank=64, n_blocks=nb, processes=nb, rank_model="doubling")
+                CostModelParams(n=8192, rank=64, n_blocks=nb, rank_model="doubling")
             )
             for nb in (64, 256, 1024)
         ]

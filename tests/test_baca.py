@@ -371,6 +371,14 @@ class TestLockstep:
             assert svd.rank == 4
             assert rel_fro(svd.matrix(), a) <= 1e-10
 
+    def test_mixed_real_and_complex_group_rejected(self):
+        rng = make_rng(79)
+        real = rng.standard_normal((20, 20))
+        complex_ = rng.standard_normal((20, 20)) + 1j * rng.standard_normal((20, 20))
+        cfg = BacaConfig(block_size=3, tol=1e-8, seed=0)
+        with pytest.raises(ValueError, match="all real or all complex"):
+            baca_lockstep([dense_oracle(real), dense_oracle(complex_)], [cfg, cfg])
+
     def test_non_finite_residual_raises(self):
         a = exact_rank_matrix(75, 16, 16, 3)
         a[5, :] = np.nan

@@ -182,6 +182,45 @@ class TestVerticalMerge:
             )
             assert merged.rank <= r1 + r2
 
+    def test_node_validation(self):
+        top = rank_zero_block(4, 5, (0, 0), (0, 0))
+        not_shared = rank_zero_block(4, 5, (0, 1), (0, 1))
+        with pytest.raises(ValueError, match="shared column node"):
+            merge_pair_vertical(top, not_shared, 1e-8)
+        not_sibling = rank_zero_block(4, 5, (0, 2), (0, 0))
+        with pytest.raises(ValueError, match="adjacent sibling row nodes"):
+            merge_pair_vertical(top, not_sibling, 1e-8)
+        odd_top = rank_zero_block(4, 5, (0, 1), (0, 0))
+        odd_bottom = rank_zero_block(4, 5, (0, 2), (0, 0))
+        with pytest.raises(ValueError, match="adjacent sibling row nodes"):
+            merge_pair_vertical(odd_top, odd_bottom, 1e-8)
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_peak_memory_matches_the_mirrored_horizontal_merge(self, kind):
+        # two 2048 x 1024 rank-64 blocks stacked, against the horizontal
+        # merge of their transposes: the vertical merge copies no factor
+        rng = make_rng(8)
+        top, bottom = (random_svd(rng, 2048, 1024, 64, kind) for _ in range(2))
+        left, right = conj_transposed(top), conj_transposed(bottom)
+
+        def vertical():
+            return merge_pair_vertical(BlockSVD((0, 0), (0, 0), top),
+                                       BlockSVD((0, 1), (0, 0), bottom), 1e-10)
+
+        def horizontal():
+            return merge_pair_horizontal(BlockSVD((0, 0), (0, 0), left),
+                                         BlockSVD((0, 0), (0, 1), right), 1e-10)
+
+        vertical(), horizontal()  # warm calls
+        _, vertical_peak = traced_peak(vertical)
+        _, horizontal_peak = traced_peak(horizontal)
+        assert vertical_peak <= 1.05 * horizontal_peak
+
+
+def transposed(svd):
+    """The TruncatedSVD of A^T from that of A, as views."""
+    return TruncatedSVD(u=svd.vt.T, sigma=svd.sigma, vt=svd.u.T)
+
 
 def random_svd(rng, m, n, rank, kind):
     """TruncatedSVD of an m x n matrix of exact rank ``rank``, singular
@@ -242,7 +281,8 @@ class TestMergeAgainstDense:
         merged = merge(first, second, 1e-10)
         out = merged.svd
         assert out.shape == dense.shape
-        assert out.u.flags.c_contiguous and out.vt.flags.c_contiguous
+        for factor in (out.u, out.vt):
+            assert factor.flags.c_contiguous or factor.flags.f_contiguous
         expected_dtype = np.complex128 if kind == "complex" else np.float64
         assert out.u.dtype == out.vt.dtype == expected_dtype
         if direction == "horizontal":
@@ -271,13 +311,13 @@ class TestMergeAgainstDense:
         top, bottom, _ = merge_pair(case, kind, "vertical")
         vertical = merge_pair_vertical(top, bottom, 1e-10).svd
         horizontal = merge_pair_horizontal(
-            BlockSVD((2, 1), (0, 4), conj_transposed(top.svd)),
-            BlockSVD((2, 1), (0, 5), conj_transposed(bottom.svd)),
+            BlockSVD((2, 1), (0, 4), transposed(top.svd)),
+            BlockSVD((2, 1), (0, 5), transposed(bottom.svd)),
             1e-10,
         ).svd
-        assert np.array_equal(vertical.u, horizontal.vt.conj().T)
+        assert np.array_equal(vertical.u, horizontal.vt.T)
         assert np.array_equal(vertical.sigma, horizontal.sigma)
-        assert np.array_equal(vertical.vt, horizontal.u.conj().T)
+        assert np.array_equal(vertical.vt, horizontal.u.T)
 
     def test_repeat_merges_are_bitwise_identical(self):
         first, second, _ = merge_pair("unequal_ranks", "complex", "horizontal")
@@ -429,6 +469,18 @@ class TestHBaca:
             hbaca_compress(oracle, 4, cfg, workers=1.5)
         want, _ = hbaca_compress(oracle, 4, cfg, workers=1)
         got, _ = hbaca_compress(oracle, 4, cfg, workers=np.int64(2))
+        assert np.array_equal(got.u, want.u)
+        assert np.array_equal(got.sigma, want.sigma)
+        assert np.array_equal(got.vt, want.vt)
+
+    def test_non_integer_block_count_rejected(self):
+        oracle = product_of_random_oracle(32, 4, seed=96)
+        cfg = BacaConfig(block_size=2, tol=1e-6, seed=0)
+        for n_blocks in (16.0, "16"):
+            with pytest.raises(ValueError, match="n_blocks must be an integer"):
+                hbaca_compress(oracle, n_blocks, cfg)
+        want, _ = hbaca_compress(oracle, 16, cfg)
+        got, _ = hbaca_compress(oracle, np.int64(16), cfg)
         assert np.array_equal(got.u, want.u)
         assert np.array_equal(got.sigma, want.sigma)
         assert np.array_equal(got.vt, want.vt)
@@ -744,14 +796,12 @@ class TestCostModel:
             assert est["merge_flops"] / base["leaf_flops"] <= 2.0
 
     def test_no_levels_no_merge(self):
-        est = cost_model(CostModelParams(n=1000, rank=10, n_blocks=1, processes=4))
+        est = cost_model(CostModelParams(n=1000, rank=10, n_blocks=1))
         assert est["merge_flops"] == 0.0
-        assert est["messages"] == 0.0
-        assert est["volume"] == 0.0
 
     def test_quadrupling_ratios(self):
         consts = [
-            cost_model(CostModelParams(n=8192, rank=64, n_blocks=nb, processes=nb))
+            cost_model(CostModelParams(n=8192, rank=64, n_blocks=nb))
             for nb in (64, 256, 1024)
         ]
         for lo, hi in zip(consts, consts[1:]):
@@ -763,3 +813,9 @@ class TestCostModel:
             cost_model(CostModelParams(n=100, rank=4, n_blocks=3))
         with pytest.raises(ValueError):
             CostModelParams(n=100, rank=4, n_blocks=4, rank_model="linear")
+
+    def test_non_integer_block_count_rejected(self):
+        with pytest.raises(ValueError, match="n_blocks must be an integer"):
+            cost_model(CostModelParams(n=100, rank=4, n_blocks=16.0))
+        assert (cost_model(CostModelParams(n=100, rank=4, n_blocks=np.int64(16)))
+                == cost_model(CostModelParams(n=100, rank=4, n_blocks=16)))
