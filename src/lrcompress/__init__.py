@@ -52,6 +52,7 @@ from .linalg import (
     TruncatedSVD,
     epsilon_rank,
     lr_norm,
+    lr_norm_prefixes,
     lr_norm_update,
     lr_recompress,
     qrcp,

@@ -9,10 +9,21 @@ factors and their running norm mu, the used-row and used-column masks, the
 history and the stopping tests); the two differ only in how they select
 pivots and form each update. The running update norm nu and total norm mu
 drive the nu < eps * mu stopping test.
+
+mu is settled lazily. Its cross terms with the accumulated factors cost two
+passes over them, yet the stop test can fire only in the last iteration or
+two. So between settles the sweep keeps the bound hi = mu + (sum of the
+pending nu), which holds by the triangle inequality, and it settles only
+when nu < eps * hi, the one case where nu < eps * mu can hold, when it
+stops or when mu is read. A settle takes every pending cross term from
+Gram products of the pending blocks with the factors (``lr_norm_prefixes``)
+and fills in the pending records' mu. mu never feeds the factors, so pivots and factors do not depend on when
+it is settled.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -24,9 +35,15 @@ from .linalg import (
     FactorBuffer,
     LowRankFactors,
     argmax_tied_sq,
-    lr_norm_update,
+    lr_norm_prefixes,
+    pow2_scale,
+    vector_norm,
     working_dtype,
 )
+
+# lr_norm_update stays importable from this module, where perfbench's tracer
+# patches it; the sweep settles mu through lr_norm_prefixes
+from .linalg import lr_norm_update  # noqa: F401
 from .seeding import initial_column_block, make_rng
 
 __all__ = [
@@ -148,6 +165,10 @@ class _Sweep:
     and the history. The sweep picks its pivots and forms each update;
     ``append`` accepts the update and applies the stopping tests.
 
+    mu is settled lazily (see the module docstring): records appended
+    since the last settle carry mu = nan until the next one, which comes at
+    the latest when the sweep stops. Reading ``mu`` settles.
+
     ``config`` is an AcaConfig or a BacaConfig: only ``tol``, ``seed`` and
     ``max_rank`` are read.
     """
@@ -163,18 +184,43 @@ class _Sweep:
         self.tol = config.tol
         self.rng = make_rng(config.seed)
         self.factors = FactorBuffer(m, n, working_dtype(oracle.dtype))
-        self.mu = 0.0
+        self._mu = 0.0  # norm of the factors through the last settled record
+        self._settled = 0  # records whose mu is settled
+        self._hi = 0.0  # _mu plus the pending records' nu
+        # The settle rounds its dot products of length m and n and its sums
+        # of up to kmax terms; this many ulps of hi cover that rounding, so
+        # the bound never undercuts the mu a settle computes.
+        self._pad = 1.0 + (m + n + self.kmax) * np.finfo(float).eps
         self.used_rows = np.zeros(m, dtype=bool)
         self.used_cols = np.zeros(n, dtype=bool)
         self.history = ConvergenceHistory()
 
+    @property
+    def mu(self):
+        """Norm of the accumulated factors, settled when read."""
+        self._settle()
+        return self._mu
+
+    def _settle(self):
+        # fill in the pending records' mu from one lr_norm_prefixes call
+        records = self.history.records
+        pending = records[self._settled :]
+        if not pending:
+            return
+        start = records[self._settled - 1].rank if self._settled else 0
+        mus = lr_norm_prefixes(self.factors.u, self.factors.v, self._mu,
+                               [start] + [rec.rank for rec in pending[:-1]],
+                               [rec.nu for rec in pending])
+        records[self._settled :] = [rec._replace(mu=mu) for rec, mu in zip(pending, mus)]
+        self._settled = len(records)
+        self._mu = self._hi = mus[-1]
+
     def append(self, rows, cols, u_k, v_k, nu):
         """Accept the update ``u_k @ v_k`` of norm ``nu``, pivoted on the
-        index sequences ``rows`` and ``cols``: update mu, append the
-        factors, mark the pivots and record the iteration. Returns True,
-        with the termination set, when the sweep stops."""
+        index sequences ``rows`` and ``cols``: append the factors, mark the
+        pivots and record the iteration. Returns True, with the termination
+        set, when the sweep stops."""
         factors = self.factors
-        self.mu = lr_norm_update(factors.u, factors.v, self.mu, u_k, v_k, nu)
         factors.append(u_k, v_k)
         self.used_rows[rows] = True
         self.used_cols[cols] = True
@@ -183,18 +229,30 @@ class _Sweep:
                                          cols=tuple(int(j) for j in cols),
                                          added=len(rows)))
         history.records.append(
-            IterationRecord(len(history.records) + 1, factors.rank, nu, self.mu))
+            IterationRecord(len(history.records) + 1, factors.rank, nu, math.nan))
 
-        if nu < self.tol * self.mu:
+        # mu <= hi, so nu < tol * mu needs nu < tol * hi: only then settle
+        self._hi += nu
+        if nu < self.tol * self._hi * self._pad and nu < self.tol * self.mu:
             return self.stop(CONVERGED)
         if factors.rank >= self.rank_cap:
             return self.stop(FULL_RANK if self.rank_cap == self.kmax else RANK_CAP)
         return False
 
     def stop(self, reason):
-        """End the sweep with termination ``reason``; returns True."""
+        """End the sweep with termination ``reason``, settling mu; returns
+        True."""
+        self._settle()
         self.history.termination = reason
         return True
+
+
+def _argmax_abs(x, avail):
+    # the entry of avail where |x| is largest, ties as in argmax_tied_sq;
+    # scaled by a power of two so that the squares stay in range
+    a = np.abs(x[avail])
+    a *= pow2_scale(a.max())
+    return int(avail[argmax_tied_sq(np.square(a, out=a))])
 
 
 def aca_compress(oracle, config):
@@ -224,8 +282,7 @@ def aca_compress(oracle, config):
     while True:
         # residuals kept 2-d so the BLAS calls match the blocked variant
         col = residual_columns(oracle, factors.u, factors.v, np.array([j])).ravel()
-        avail_rows = np.flatnonzero(~sweep.used_rows)
-        i = int(avail_rows[argmax_tied_sq(np.abs(col[avail_rows]) ** 2)])
+        i = _argmax_abs(col, np.flatnonzero(~sweep.used_rows))
         pivot = col[i]
         threshold = max(config.zero_pivot_threshold, PIVOT_RTOL * max_pivot)
         if abs(pivot) <= threshold:
@@ -235,11 +292,12 @@ def aca_compress(oracle, config):
 
         u_k = col / pivot
         row = residual_rows(oracle, factors.u, factors.v, np.array([i])).ravel()
-        nu = float(np.linalg.norm(u_k) * np.linalg.norm(row))
+        # u_k is divided by its largest entry on unused rows, so only the
+        # raw residual row needs scaling around its squares
+        nu = float(np.linalg.norm(u_k)) * vector_norm(row)
         if sweep.append([i], [j], u_k[:, None], row[None, :], nu):
             break
 
-        avail_cols = np.flatnonzero(~sweep.used_cols)
-        j = int(avail_cols[argmax_tied_sq(np.abs(row[avail_cols]) ** 2)])
+        j = _argmax_abs(row, np.flatnonzero(~sweep.used_cols))
 
     return LowRankFactors(u=factors.u, v=factors.v), sweep.history

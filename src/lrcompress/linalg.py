@@ -13,6 +13,7 @@ conjugate transpose throughout.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,7 @@ __all__ = [
     "truncated_svd",
     "epsilon_rank",
     "lr_norm",
+    "lr_norm_prefixes",
     "lr_norm_update",
     "lr_recompress",
     "argmax_tied_sq",
@@ -38,6 +40,11 @@ TIE_RTOL = 1e-14
 # A downdated running norm below this fraction of its reference value has lost
 # too much to cancellation and is recomputed from scratch.
 DOWNDATE_RTOL = 1e-7
+
+# Pending columns whose norm cross terms lr_norm_prefixes takes from one pair
+# of products: bounds its copies, and skips most of the products' unused
+# triangle.
+SETTLE_CHUNK = 32
 
 
 def working_dtype(dtype):
@@ -371,17 +378,31 @@ def truncated_svd(a, tol):
                         vt=np.ascontiguousarray(vt[:r, :]))
 
 
+def pow2_scale(amax):
+    """Exact scale 2^-e that brings the maximum magnitude ``amax`` into
+    [0.5, 1); 1 for zero. Multiplying by it only moves exponents, so the
+    squares of the scaled entries neither under- nor overflow, and every
+    rounding in range is the unscaled one, scaled."""
+    # a subnormal maximum scales only as far as 2^1022 stays finite
+    return math.ldexp(1.0, -max(math.frexp(amax)[1], -1022))
+
+
+def vector_norm(x):
+    """2-norm of a vector, scaled by ``pow2_scale`` around the squares:
+    ``np.linalg.norm(x)`` bit for bit wherever that neither under- nor
+    overflows."""
+    scale = pow2_scale(np.abs(x).max(initial=0.0))
+    return float(np.linalg.norm(x * scale) / scale)
+
+
 def _lr_norms(u, v):
     """Frobenius norms of the products ``u[b] @ v[b]`` over a stack, each in
     O((m + n) r^2) as ``||R v||_F`` for the thin QR u = Q R, with no Gram
     matrix to square the conditioning when ``u v`` cancels. Zero padding
-    past a slice's rank adds nothing. Scaling each slice of R v exactly, by a
-    power of two near its largest entry, keeps its squares from under- or
-    overflowing."""
+    past a slice's rank adds nothing. Each slice of R v is scaled by
+    ``pow2_scale`` of its largest entry."""
     rv = np.linalg.qr(u, mode="r") @ v
-    # a subnormal maximum scales only as far as 2^1022 stays finite
-    e = np.maximum(np.frexp(np.abs(rv).max(axis=(1, 2), initial=0.0))[1], -1022)
-    scale = np.ldexp(1.0, -e)
+    scale = np.array([pow2_scale(a) for a in np.abs(rv).max(axis=(1, 2), initial=0.0)])
     return np.linalg.norm(rv * scale[:, None, None], axis=(1, 2)) / scale
 
 
@@ -395,23 +416,59 @@ def lr_norm(u, v):
     return float(_lr_norms(u[None], v[None])[0])
 
 
-def cross_inner(u, v, ubar, vbar):
-    """Re <u @ v, ubar @ vbar> in the Frobenius inner product, via the two
-    small Grams (v @ vbar^H) and (u^H @ ubar)."""
-    # conjugate the thin ubar, not a copy of the whole accumulated u
-    g1 = (ubar.conj().T @ u).conj().T
-    g2 = v @ vbar.conj().T
-    return float(np.vdot(g2, g1).real)
+def lr_norm_prefixes(u, v, mu, starts, nu):
+    """Norms of ``u @ v`` truncated after each of a run of blocks, the
+    incremental norm routine of the cross sweeps.
+
+    The blocks split the columns of u (rows of v) from s = ``starts[0]``
+    on: block i runs from ``starts[i]`` to ``starts[i + 1]``, the last to
+    the end. ``mu`` is the norm of ``u[:, :s] @ v[:s]`` and ``nu[i]`` that
+    of block i's product. Returns the norms mu_i of the products through
+    block i, from
+
+        mu_i^2 = mu_{i-1}^2 + nu_i^2 + 2 Re <prefix before block i, block i>
+
+    clamped at zero where rounding drives it negative near convergence.
+    Every cross term comes from the products ``ubar^H u`` and ``conj(vbar)
+    v^T`` with ubar = u[:, s:] and vbar = v[s:], taken SETTLE_CHUNK pending
+    columns at a time against only the columns before them: O((m + n) r
+    (r - s)), with copies of one chunk of ubar and vbar, never of the whole
+    of u or v. The copies are scaled by ``pow2_scale`` of the largest entry
+    of ubar and of vbar, and the cross terms, mu and nu by the product of
+    those scales, so that no product or square under- or overflows while
+    the largest entries of u and v multiply to within about 2^(+-900).
+    """
+    s, r = starts[0], u.shape[1]
+    chunks = range(s, r, SETTLE_CHUNK)
+    su = pow2_scale(max((np.abs(u[:, lo : lo + SETTLE_CHUNK]).max() for lo in chunks), default=0.0))
+    sv = pow2_scale(max((np.abs(v[lo : lo + SETTLE_CHUNK]).max() for lo in chunks), default=0.0))
+    ends = [*starts[1:], r]
+    # column s + b's cross term with the columns before its block, scaled
+    # by su sv here and once more below, as mu^2 is
+    first = np.repeat(starts, np.subtract(ends, starts))
+    cross = np.empty(r - s)
+    for lo in chunks:
+        hi = min(lo + SETTLE_CHUNK, r)
+        terms = np.real((u[:, lo:hi].conj().T * su @ u[:, :hi]) * (v[lo:hi].conj() * sv @ v[:hi].T))
+        before = np.arange(hi) < first[lo - s : hi - s, None]
+        cross[lo - s : hi - s] = np.where(before, terms, 0.0).sum(axis=1)
+    cross *= su
+    cross *= sv
+    out = []
+    mu = mu * su * sv
+    for lo, hi, nu_i in zip(starts, ends, nu):
+        nu_i = nu_i * su * sv
+        sq = mu * mu + nu_i * nu_i + 2.0 * float(cross[lo - s : hi - s].sum())
+        mu = math.sqrt(max(sq, 0.0))
+        out.append(mu / su / sv)
+    return out
 
 
 def lr_norm_update(u, v, mu, ubar, vbar, nu):
     """Norm of the concatenated product ``[u, ubar] @ [v; vbar]`` given
-    ``mu = ||u v||_F`` and ``nu = ||ubar vbar||_F``; O(n r rbar)."""
-    s = mu * mu + nu * nu + 2.0 * cross_inner(u, v, ubar, vbar)
-    # rounding can drive s slightly negative near convergence
-    if s < 0.0:
-        s = 0.0
-    return float(np.sqrt(s))
+    ``mu = ||u v||_F`` and ``nu = ||ubar vbar||_F``: ``lr_norm_prefixes``
+    with one block, in O((m + n) (r + rbar) rbar)."""
+    return lr_norm_prefixes(np.hstack([u, ubar]), np.vstack([v, vbar]), mu, [u.shape[1]], [nu])[0]
 
 
 def _householder_qr(a):

@@ -1,9 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 
+import lrcompress.aca as aca_mod
 from helpers import exact_rank_matrix, rel_fro
 from lrcompress.aca import CONVERGED, DEGENERATE, RANK_CAP, AcaConfig, aca_compress
 from lrcompress.kernels import GaussianKernel, Hankel2DKernel, KernelOracle, dense_oracle, offdiag_oracle, product_of_random_oracle, strip_cloud
+from lrcompress.baca import BacaConfig
+from lrcompress.hmerge import hbaca_compress
 from lrcompress.linalg import lr_norm
 from lrcompress.seeding import initial_column_block, make_rng
 
@@ -89,6 +94,70 @@ def test_history_norm_tracking():
     for rec in history.records:
         mu_exact = lr_norm(factors.u[:, : rec.rank], factors.v[: rec.rank, :])
         assert abs(rec.mu - mu_exact) <= 1e-10 * mu_exact
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("exponent", [-600, 600])
+def test_scaled_matrix_scales_the_sweep_exactly(exponent, complex_):
+    # unscaled, the squares of these entries under- or overflow; scaled by
+    # powers of two the sweep is the unscaled one with v times the scale
+    rng = make_rng(55)
+    x, y = rng.standard_normal((30, 4)), rng.standard_normal((4, 30))
+    if complex_:
+        x = x + 1j * rng.standard_normal((30, 4))
+    a = x @ y
+    scale = 2.0**exponent
+    config = AcaConfig(tol=1e-10, seed=1)
+    ref, ref_history = aca_compress(dense_oracle(a), config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, history = aca_compress(dense_oracle(a * scale), config)
+    assert history.termination == ref_history.termination
+    assert history.blocks == ref_history.blocks
+    assert got.rank == ref.rank == 4
+    assert np.array_equal(got.u, ref.u)
+    assert np.array_equal(got.v, ref.v * scale)
+    assert len(history.records) == len(ref_history.records)
+    for rec, want in zip(history.records, ref_history.records):
+        assert rec.nu == pytest.approx(want.nu * scale, rel=1e-14, abs=0.0)
+        assert rec.mu == pytest.approx(want.mu * scale, rel=1e-14, abs=0.0)
+
+
+class TestLazyNorm:
+    """The sweep settles mu only when its stop test can fire."""
+
+    @staticmethod
+    def count_settles(monkeypatch):
+        calls = []
+        real = aca_mod.lr_norm_prefixes
+
+        def spy(u, v, mu, starts, nu):
+            calls.append(list(starts))
+            return real(u, v, mu, starts, nu)
+
+        monkeypatch.setattr(aca_mod, "lr_norm_prefixes", spy)
+        return calls
+
+    def test_aca_settles_at_most_twice(self, monkeypatch):
+        calls = self.count_settles(monkeypatch)
+        oracle = product_of_random_oracle(1024, 64, seed=5)
+        factors, history = aca_compress(oracle, AcaConfig(tol=1e-6, seed=2))
+        assert factors.rank >= 64
+        assert 1 <= len(calls) <= 2
+        assert [rec.k for rec in history.records] == list(range(1, history.iterations + 1))
+        for rec in history.records:
+            exact = lr_norm(factors.u[:, : rec.rank], factors.v[: rec.rank])
+            assert abs(rec.mu - exact) <= 1e-10 * exact
+
+    def test_hbaca_leaves_settle_at_most_once(self, monkeypatch):
+        # the hbaca-prodrand shape: 64 leaves of 512 x 512 at rank 64;
+        # a leaf's first settle starts from rank 0, any later one would not
+        calls = self.count_settles(monkeypatch)
+        oracle = product_of_random_oracle(4096, 64, seed=5)
+        svd, _ = hbaca_compress(oracle, 64, BacaConfig(block_size=8, tol=1e-6, seed=5), workers=1)
+        assert svd.rank == 64
+        assert 1 <= len(calls) <= 64
+        assert all(starts[0] == 0 for starts in calls)
 
 
 def test_history_record_shape():

@@ -10,10 +10,13 @@ from lrcompress.linalg import (
     _qrcp_stack,
     epsilon_rank,
     lr_norm,
+    lr_norm_prefixes,
     lr_norm_update,
     lr_recompress,
+    pow2_scale,
     qrcp,
     truncated_svd,
+    vector_norm,
 )
 from lrcompress.seeding import make_rng
 
@@ -568,6 +571,80 @@ class TestLrNormUpdate:
         nu = lr_norm(ubar, vbar)
         got = lr_norm_update(np.zeros((12, 0)), np.zeros((0, 12)), 0.0, ubar, vbar, nu)
         assert got == pytest.approx(nu, rel=1e-14)
+
+
+class TestLrNormPrefixes:
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_each_prefix_against_lr_norm(self, complex_):
+        # a settled prefix of rank 4, then blocks of widths 1, 3, 0, 2 and 1
+        u, v = random_factors(18, 30, 25, 11, complex_)
+        starts = [4, 5, 8, 8, 10]
+        nu = [lr_norm(u[:, lo:hi], v[lo:hi]) for lo, hi in zip(starts, [*starts[1:], 11])]
+        got = lr_norm_prefixes(u, v, lr_norm(u[:, :4], v[:4]), starts, nu)
+        for hi, mu in zip([*starts[1:], 11], got):
+            want = lr_norm(u[:, :hi], v[:hi])
+            assert abs(mu - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_blocks_across_chunks(self, complex_):
+        # blocks of 7 from rank 3 straddle the SETTLE_CHUNK boundaries
+        r = 3 + 7 * 20
+        assert r > 2 * linalg_mod.SETTLE_CHUNK
+        u, v = random_factors(20, 160, 150, r, complex_)
+        starts = list(range(3, r, 7))
+        ends = [*starts[1:], r]
+        nu = [lr_norm(u[:, lo:hi], v[lo:hi]) for lo, hi in zip(starts, ends)]
+        got = lr_norm_prefixes(u, v, lr_norm(u[:, :3], v[:3]), starts, nu)
+        for hi, mu in zip(ends, got):
+            want = lr_norm(u[:, :hi], v[:hi])
+            assert abs(mu - want) <= 1e-12 * want
+
+    def test_from_rank_zero(self):
+        u, v = random_factors(19, 20, 20, 6)
+        nu = [lr_norm(u[:, [j]], v[[j]]) for j in range(6)]
+        got = lr_norm_prefixes(u, v, 0.0, list(range(6)), nu)
+        assert got[0] == nu[0]
+        for r, mu in enumerate(got, start=1):
+            want = lr_norm(u[:, :r], v[:r])
+            assert abs(mu - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("exponent", [-600, 600])
+    def test_scales_exactly(self, exponent, complex_):
+        # the Gram products and squares of these factors leave the range
+        u, v = random_factors(21, 20, 30, 7, complex_)
+        starts, scale = [2, 3, 6], 2.0**exponent
+        nu = [lr_norm(u[:, lo:hi], v[lo:hi]) for lo, hi in zip(starts, [3, 6, 7])]
+        mu = lr_norm(u[:, :2], v[:2])
+        want = lr_norm_prefixes(u, v, mu, starts, nu)
+        got = lr_norm_prefixes(u, v * scale, mu * scale, starts, [x * scale for x in nu])
+        assert got == [x * scale for x in want]
+
+
+class TestScaledNorms:
+    @pytest.mark.parametrize("amax, want", [
+        (0.0, 1.0), (0.5, 1.0), (0.75, 1.0), (1.0, 0.5), (3.0, 0.25),
+        (2.0**-600, 2.0**599), (2.0**600, 2.0**-601), (5e-324, 2.0**1022),
+    ])
+    def test_pow2_scale(self, amax, want):
+        assert pow2_scale(amax) == want
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_vector_norm_in_range_is_numpy_norm(self, complex_):
+        for seed in range(5):
+            x = random_factors(30 + seed, 1, 200, 1, complex_)[1][0] * 10.0 ** (3 * seed - 6)
+            assert vector_norm(x) == np.linalg.norm(x)
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("exponent", [-600, 600])
+    def test_vector_norm_out_of_range(self, exponent, complex_):
+        # np.linalg.norm squares these entries to 0 or inf
+        x = random_factors(35, 1, 50, 1, complex_)[1][0]
+        assert vector_norm(x * 2.0**exponent) == np.linalg.norm(x) * 2.0**exponent
+
+    def test_vector_norm_of_zero_and_empty(self):
+        assert vector_norm(np.zeros(4)) == 0.0
+        assert vector_norm(np.zeros(0)) == 0.0
 
 
 class TestFactorBuffer:

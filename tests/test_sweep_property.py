@@ -2,12 +2,17 @@
 matrices of at most 8 x 8 with zero, duplicated and rank-one columns, every
 sweep returns, its rank stays within min(m, n), its row and column pivots
 are distinct and number its rank, and plain ACA never runs out of columns.
-The sweeps rely on these invariants instead of guarding each case."""
+The sweeps rely on these invariants instead of guarding each case. Settling
+the norm mu lazily changes nothing a sweep returns but rounding in mu."""
+
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from lrcompress.aca import EXHAUSTED, AcaConfig, aca_compress
+import lrcompress.aca as aca_mod
+from lrcompress.aca import CONVERGED, EXHAUSTED, AcaConfig, aca_compress
 from lrcompress.baca import BacaConfig, baca_compress
 from lrcompress.kernels import dense_oracle
 from lrcompress.linalg import _qrcp_stack
@@ -119,3 +124,53 @@ def test_qrcp_stack_pivots_are_distinct_and_eligible(
         chosen = piv[b, :k]
         assert len(set(chosen.tolist())) == k
         assert eligible[b, chosen].all()
+
+
+def eager(run):
+    """``run()`` as a sweep whose mu is not lazy: after every append, mu is
+    settled and the stop test applied. Returns run's result and, per
+    append, the sweep's bound on mu just before that settle and mu."""
+    append = aca_mod._Sweep.append
+    bounds = []
+
+    def settling_append(sweep, rows, cols, u_k, v_k, nu):
+        out = append(sweep, rows, cols, u_k, v_k, nu)
+        bound = sweep._hi * sweep._pad
+        bounds.append((bound, sweep.mu))
+        if nu < sweep.tol * sweep.mu:
+            return sweep.stop(CONVERGED)
+        return out
+
+    with mock.patch.object(aca_mod._Sweep, "append", settling_append):
+        return run(), bounds
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(seed=st.integers(0, 2**31 - 1), m=st.integers(1, 10), n=st.integers(1, 10),
+                  k=st.integers(1, 10), decay=st.floats(0.05, 0.95), complex_=st.booleans(),
+                  tol=st.sampled_from([1e-10, 1e-6, 1e-3, 1e-1]), d=st.sampled_from([None, 1, 2, 4]))
+def test_lazy_norm_cannot_be_seen(seed, m, n, k, decay, complex_, tol, d):
+    # singular values decay**i, so that nu / mu passes tol at varied
+    # margins; d None is plain ACA, else BACA at block size d
+    rng = make_rng(seed)
+    x, y = rng.standard_normal((m, k)), rng.standard_normal((k, n))
+    if complex_:
+        x = x + 1j * rng.standard_normal((m, k))
+    oracle = dense_oracle((x * decay ** np.arange(k)) @ y)
+    if d is None:
+        def run():
+            return aca_compress(oracle, AcaConfig(tol=tol, seed=seed))
+    else:
+        def run():
+            return baca_compress(oracle, BacaConfig(block_size=d, tol=tol, seed=seed))
+    (got, history), ((want, want_history), bounds) = run(), eager(run)
+    assert all(mu <= bound for bound, mu in bounds)
+    for name in ("u", "v", "sigma", "vt"):
+        if hasattr(want, name):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert history.termination == want_history.termination
+    assert history.blocks == want_history.blocks
+    assert [(r.k, r.rank, r.nu) for r in history.records] == [
+        (r.k, r.rank, r.nu) for r in want_history.records]
+    for rec, want_rec in zip(history.records, want_history.records):
+        assert math.isclose(rec.mu, want_rec.mu, rel_tol=1e-12, abs_tol=0.0)
