@@ -59,12 +59,10 @@ class IndexTree:
     """Binary tree of contiguous index ranges.
 
     ``ranges[l]`` lists the half-open (lo, hi) ranges of the nodes at level
-    l, with leaves at level 0 (2^levels nodes) and the root at level
-    ``levels``. Node (l, i) has children (l-1, 2i) and (l-1, 2i+1).
+    l, with the leaves at level 0 and the root, the whole range, at the last
+    level. Node (l, i) has children (l-1, 2i) and (l-1, 2i+1).
     """
 
-    extent: int
-    levels: int
     ranges: tuple
 
     def leaves(self):
@@ -86,8 +84,7 @@ def build_index_tree(extent, levels):
             children.append((lo + left, hi))
         by_level.append(children)
     by_level.reverse()
-    return IndexTree(extent=extent, levels=levels,
-                     ranges=tuple(tuple(level) for level in by_level))
+    return IndexTree(tuple(tuple(level) for level in by_level))
 
 
 @dataclass(frozen=True)
@@ -304,7 +301,7 @@ def _init_worker(oracle):
     _limit_blas_threads()
 
 
-def _noop():
+def _noop(_):
     return None
 
 
@@ -312,10 +309,11 @@ def _compress_leaves(oracle, jobs, workers):
     """``_row_task`` over ``jobs`` of (row range, column ranges, configs),
     in job order, and the seconds the tasks took.
 
-    One worker runs them inline; more run them on a process pool of at most
-    one process per task, every worker holding its own copy of the oracle.
-    The workers are started before the clock and shut down after it; when a
-    task raises, the tasks not yet started are cancelled.
+    One worker runs them inline; more run them through ``Executor.map`` on
+    a process pool of at most one process per task, every worker holding
+    its own copy of the oracle. The workers are started before the clock
+    and shut down after it; when a task raises, ``map`` cancels the tasks
+    not yet started.
     """
     workers = min(workers, len(jobs))
     if workers == 1:
@@ -324,15 +322,9 @@ def _compress_leaves(oracle, jobs, workers):
         return results, time.perf_counter() - t0
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                              initargs=(oracle,)) as pool:
-        for f in [pool.submit(_noop) for _ in range(workers)]:
-            f.result()
+        list(pool.map(_noop, range(workers)))
         t0 = time.perf_counter()
-        futures = [pool.submit(_row_task, None, *job) for job in jobs]
-        try:
-            results = [f.result() for f in futures]
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+        results = list(pool.map(_row_task, [None] * len(jobs), *zip(*jobs)))
         return results, time.perf_counter() - t0
 
 

@@ -62,15 +62,19 @@ def checked_matrix(a, name="matrix"):
     return a
 
 
-def argmax_tied_sq(sq):
-    """First index attaining the maximum of a nonnegative array.
+def argmax_tied_sq(sq, axis=None):
+    """First index attaining the maximum of a nonnegative array: the pivot
+    tie rule of ACA and QRCP.
 
     ``sq`` holds squared magnitudes; entries whose square roots lie within
     TIE_RTOL (relative) of the maximum are treated as tied and the lowest
-    index wins.
+    index wins. An int index into the flattened array, or with ``axis`` the
+    indices along that axis.
     """
     sq = np.asarray(sq)
-    return int(np.argmax(sq >= sq.max() * (1.0 - 2.0 * TIE_RTOL)))
+    tied = sq >= sq.max(axis=axis, keepdims=True) * (1.0 - 2.0 * TIE_RTOL)
+    j = np.argmax(tied, axis=axis)
+    return int(j) if axis is None else j
 
 
 @dataclass
@@ -115,10 +119,7 @@ class QRCPResult:
 
     @functools.cached_property
     def t(self):
-        t = self.rows[:, self.pivots]
-        for i in range(1, self.rank):
-            t[i, :i] = 0.0
-        return t
+        return np.triu(self.rows[:, self.pivots])
 
     def selected(self):
         return self.pivots[: self.rank]
@@ -217,7 +218,8 @@ def _unit_outside(qk):
 def _qrcp_stack(a, cap, tol=None, eligible=None, lengths=None):
     """Column-pivoted CGS2 QR of every matrix in the (B, m, n) stack ``a``,
     in lockstep: each elimination step makes one numpy call per operation
-    for the whole stack. ``qrcp`` is the stack of one.
+    for the whole stack, and pivots every slice by ``argmax_tied_sq`` on its
+    running norms. ``qrcp`` is the stack of one.
 
     Slice b runs ``cap[b]`` steps, or with ``tol`` stops earlier by qrcp's
     tolerance rule, pivoting only on the columns where ``eligible[b]`` is
@@ -260,8 +262,7 @@ def _qrcp_stack(a, cap, tol=None, eligible=None, lengths=None):
         if step in ends:
             retire(cap == step)
         # free norms are >= 0 (stale ones recomputed), others -inf; all zero -> lowest free column
-        mx = norms[0].max(axis=1)
-        j = np.argmax(norms[0] >= (mx * (1.0 - 2.0 * TIE_RTOL))[:, None], axis=1)
+        j = argmax_tied_sq(norms[0], axis=1)
         x = a[slices, :, j]
         qk = qt[:, :step]
         if step:
