@@ -46,6 +46,12 @@ DOWNDATE_RTOL = 1e-7
 # triangle.
 SETTLE_CHUNK = 32
 
+# Largest squared column norm of a QRCP slice that runs as it is: every
+# square down to eps^2 = 2^-104 of it stays normal (above 2^-1022), and
+# sums of it stay far below overflow. A slice outside runs on a copy scaled
+# by pow2_scale.
+SQ_NORM_RANGE = (2.0**-918, 2.0**918)
+
 
 def working_dtype(dtype):
     return np.complex128 if np.dtype(dtype).kind == "c" else np.float64
@@ -226,7 +232,10 @@ def _qrcp_stack(a, cap, tol=None, eligible=None, lengths=None):
     set (all when None). Its first ``lengths[b]`` rows (all when None) are
     its matrix; rows past them must be zero padding, and a substitute unit
     vector for a column in the span stays inside them. The caller checks
-    that ``a`` is finite.
+    that ``a`` is finite. A slice whose largest squared column norm lies
+    outside SQ_NORM_RANGE is factored scaled by ``pow2_scale`` of its
+    largest entry, which moves only exponents, and its rows and t are
+    scaled back up to its rank; the other slices' bits do not change.
 
     Returns ``(qt, rows, t, piv, rank)``. With k = rank[b], slice b's
     factorization is q = ``qt[b, :k].T``, the coefficients ``rows[b, :k]``
@@ -244,7 +253,16 @@ def _qrcp_stack(a, cap, tol=None, eligible=None, lengths=None):
     # running squared norms (first plane) and the floors below which they
     # count as cancelled (second); -inf marks a column never to be chosen
     norms = np.empty((2, nb, n))
-    norms[0] = _column_norms_sq(a)
+    with np.errstate(over="ignore"):
+        norms[0] = _column_norms_sq(a)
+    mx = norms[0].max(axis=1, initial=0.0)
+    # a zero slice, its squares all underflowed or not, takes scale 1
+    scaled = ~((mx >= SQ_NORM_RANGE[0]) & (mx <= SQ_NORM_RANGE[1]))
+    if scaled.any():
+        scale = np.ones(nb)
+        scale[scaled] = pow2_scale(np.abs(a[scaled]).max(axis=(1, 2), initial=0.0))
+        a = a * scale[:, None, None]
+        norms[0][scaled] = _column_norms_sq(a[scaled])
     if eligible is not None:
         norms[0][~eligible] = -np.inf
     norms[1] = DOWNDATE_RTOL**2 * norms[0]
@@ -313,6 +331,11 @@ def _qrcp_stack(a, cap, tol=None, eligible=None, lengths=None):
                 fresh = _column_norms_sq(a[b][:, cols] - qt[b, :k].T @ rows[b][:k, cols])
                 norms[0, b, cols] = fresh
                 norms[1, b, cols] = DOWNDATE_RTOL**2 * fresh
+    for b in np.flatnonzero(scaled):
+        # only up to the rank: scratch past it may overflow when scaled back
+        k = rank[b]
+        rows[b, :k] /= scale[b]
+        t[b, :k, :k] /= scale[b]
     return qt, rows, t, piv, rank
 
 
@@ -383,8 +406,11 @@ def pow2_scale(amax):
     """Exact scale 2^-e that brings the maximum magnitude ``amax`` into
     [0.5, 1); 1 for zero. Multiplying by it only moves exponents, so the
     squares of the scaled entries neither under- nor overflow, and every
-    rounding in range is the unscaled one, scaled."""
+    rounding in range is the unscaled one, scaled. A float for a scalar,
+    elementwise for an array."""
     # a subnormal maximum scales only as far as 2^1022 stays finite
+    if np.ndim(amax):
+        return np.ldexp(1.0, -np.maximum(np.frexp(amax)[1], -1022))
     return math.ldexp(1.0, -max(math.frexp(amax)[1], -1022))
 
 
@@ -403,7 +429,7 @@ def _lr_norms(u, v):
     past a slice's rank adds nothing. Each slice of R v is scaled by
     ``pow2_scale`` of its largest entry."""
     rv = np.linalg.qr(u, mode="r") @ v
-    scale = np.array([pow2_scale(a) for a in np.abs(rv).max(axis=(1, 2), initial=0.0)])
+    scale = pow2_scale(np.abs(rv).max(axis=(1, 2), initial=0.0))
     return np.linalg.norm(rv * scale[:, None, None], axis=(1, 2)) / scale
 
 

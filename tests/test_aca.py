@@ -208,6 +208,14 @@ def test_config_validation():
         AcaConfig(tol=1.5)
 
 
+def test_max_rank_above_the_smaller_dimension_rejected():
+    oracle = dense_oracle(make_rng(56).standard_normal((5, 8)))
+    with pytest.raises(ValueError, match="max_rank exceeds min"):
+        aca_compress(oracle, AcaConfig(tol=1e-6, max_rank=6))
+    factors, _ = aca_compress(oracle, AcaConfig(tol=1e-12, max_rank=5))
+    assert factors.rank == 5
+
+
 def test_non_integer_max_rank_rejected():
     with pytest.raises(ValueError, match="max_rank must be an integer"):
         AcaConfig(tol=1e-6, max_rank=2.5)

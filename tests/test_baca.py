@@ -3,7 +3,7 @@ import pytest
 
 import lrcompress.aca as aca_mod
 import lrcompress.linalg as linalg_mod
-from helpers import exact_rank_matrix, gram_epsilon_rank, rel_fro
+from helpers import exact_rank_matrix, gram_epsilon_rank, random_factors, rel_fro
 from lrcompress.aca import (
     CONVERGED,
     DEGENERATE,
@@ -306,6 +306,27 @@ class TestBacaCompress:
         a, ha = baca_compress(oracle, BacaConfig(block_size=4, tol=1e-8, seed=np.int64(5)))
         b, hb = baca_compress(oracle, BacaConfig(block_size=4, tol=1e-8, seed=5))
         assert ha.blocks == hb.blocks and np.array_equal(a.u, b.u)
+
+
+class TestScaleFree:
+    """A product scaled by 2^+-600, whose squares under- or overflow, gives
+    the unscaled run's pivots, rank and termination, and its singular
+    values scaled; the suite's RuntimeWarning filter rules out warnings."""
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("exponent", [-600, 600])
+    def test_baca_compress(self, complex_, exponent):
+        u, v = random_factors(1, 64, 64, 4, complex_)
+        cfg = BacaConfig(block_size=4, tol=1e-10, seed=1)
+        want, want_history = baca_compress(dense_oracle(u @ v), cfg)
+        s = 2.0**exponent
+        got, history = baca_compress(dense_oracle((u @ v) * s), cfg)
+        assert got.rank == want.rank == 4
+        assert history.termination == want_history.termination != DEGENERATE
+        assert history.row_pivots == want_history.row_pivots
+        assert history.col_pivots == want_history.col_pivots
+        np.testing.assert_allclose(got.sigma / s, want.sigma, rtol=0.0,
+                                   atol=1e-14 * want.sigma[0])
 
 
 def _dead_half(m, n):

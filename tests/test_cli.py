@@ -15,7 +15,15 @@ from lrcompress.cli import (
     verify_against_dense,
     write_history,
 )
-from lrcompress.kernels import dense_oracle, product_of_random_oracle
+from lrcompress.kernels import (
+    Hankel2DKernel,
+    PolynomialKernel,
+    dense_oracle,
+    offdiag_oracle,
+    product_of_random_oracle,
+    random_cloud,
+    strip_cloud,
+)
 from lrcompress.linalg import truncated_svd
 from lrcompress.seeding import make_rng
 
@@ -209,6 +217,10 @@ class TestRunJob:
         with pytest.raises(UsageError):
             run_job(JobConfig(kernel="hankel2d", algorithm="baca", n=32))
 
+    def test_unknown_algorithm(self):
+        with pytest.raises(UsageError, match="unknown algorithm 'svd'"):
+            run_job(prodrand_job(algorithm="svd"))
+
 
 class TestMain:
     def test_run_exit_codes_and_stdout(self, tmp_path, capsys):
@@ -264,6 +276,39 @@ class TestMain:
         assert rc == 1
         assert json.loads(capsys.readouterr().out)["degenerate"] is True
 
+    def test_polynomial_kernel(self, capsys):
+        # (x . y + h)^2 over 3-d points has rank (3 + 1)(3 + 2) / 2 = 10
+        rc = main([
+            "run", "--kernel", "polynomial", "--n", "64", "--h", "0.5", "--dim", "3",
+            "--algorithm", "baca", "--d", "4", "--eps", "1e-10", "--seed", "2", "--verify",
+        ])
+        assert rc == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["kernel"] == "polynomial" and out["n"] == 64
+        assert out["rank"] == 10
+        assert out["rel_error"] <= 1e-8
+
+    def test_malformed_block_count_list(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["scaling", "--kernel", "prodrand", "--n", "16", "--nb", "1,x"])
+        assert exc.value.code == 2
+        assert "not a comma-separated int list: '1,x'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, what", [
+        ("--history-out", "history"), ("--summary-out", "summary"),
+    ])
+    def test_unwritable_output_is_usage_error(self, tmp_path, capsys, flag, what):
+        path = tmp_path / "missing" / "out"
+        rc = main([
+            "run", "--kernel", "prodrand", "--n", "32", "--inner-rank", "4",
+            "--algorithm", "aca", flag, str(path),
+        ])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"cannot write {what} to {path}" in captured.err
+        assert not path.parent.exists()
+
     def test_hierarchical_run_with_workers(self, capsys):
         rc = main([
             "run", "--kernel", "prodrand", "--n", "128", "--inner-rank", "16",
@@ -311,6 +356,30 @@ class TestBuildOracle:
         np.savetxt(path, rng.random((20, 3)))
         o = build_oracle(JobConfig(kernel="gaussian", h=0.5, points_file=str(path)))
         assert o.shape == (10, 10)
+
+    def test_polynomial_random_cloud(self):
+        o = build_oracle(JobConfig(kernel="polynomial", n=12, h=0.25, dim=3, seed=4))
+        want = offdiag_oracle(PolynomialKernel(0.25), random_cloud(24, 3, 4))
+        assert np.array_equal(o.dense(), want.dense())
+
+    def test_points_file_for_hankel(self, tmp_path):
+        cloud = strip_cloud(30.0, 15.0)
+        path = tmp_path / "strips.txt"
+        np.savetxt(path, cloud.points)
+        o = build_oracle(JobConfig(kernel="hankel2d", wavenumber=30.0, points_file=str(path)))
+        want = offdiag_oracle(Hankel2DKernel(30.0), cloud)
+        assert o.shape == want.shape
+        assert np.array_equal(o.dense(), want.dense())
+
+    @pytest.mark.parametrize("h", [0.0, -1.0])
+    def test_gaussian_width_must_be_positive(self, h):
+        with pytest.raises(UsageError, match="--h > 0"):
+            build_oracle(JobConfig(kernel="gaussian", n=8, h=h))
+
+    @pytest.mark.parametrize("kernel", ["gaussian", "polynomial"])
+    def test_cloud_kernel_needs_points(self, kernel):
+        with pytest.raises(UsageError, match="--n >= 1 or --points-file"):
+            build_oracle(JobConfig(kernel=kernel, n=0))
 
     def test_inner_rank_validation(self):
         with pytest.raises(UsageError):

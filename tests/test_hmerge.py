@@ -329,6 +329,22 @@ class TestMergeAgainstDense:
 
 
 class TestHBaca:
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("exponent", [-600, 600])
+    def test_scale_free(self, complex_, exponent):
+        # squares of these entries under- or overflow; the leaves and merges
+        # give the unscaled run's ranks and its singular values scaled
+        u, v = random_factors(1, 64, 64, 4, complex_)
+        cfg = BacaConfig(block_size=4, tol=1e-10, seed=1)
+        want, want_diag = hbaca_compress(dense_oracle(u @ v), 4, cfg)
+        s = 2.0**exponent
+        got, diag = hbaca_compress(dense_oracle((u @ v) * s), 4, cfg)
+        assert got.rank == want.rank == 4
+        assert diag.block_ranks == want_diag.block_ranks
+        assert not diag.degenerate_blocks
+        np.testing.assert_allclose(got.sigma / s, want.sigma, rtol=0.0,
+                                   atol=1e-14 * want.sigma[0])
+
     def test_single_block_is_passthrough(self):
         oracle = product_of_random_oracle(40, 6, seed=70)
         cfg = BacaConfig(block_size=4, tol=1e-8, seed=9)
@@ -461,6 +477,12 @@ class TestHBaca:
             hbaca_compress(oracle, 1024, cfg)
         with pytest.raises(ValueError):
             hbaca_compress(oracle, 4, cfg, workers=0)
+
+    @pytest.mark.parametrize("shape", [(0, 8), (8, 0)])
+    def test_empty_oracle_rejected(self, shape):
+        cfg = BacaConfig(block_size=2, tol=1e-6, seed=0)
+        with pytest.raises(ValueError, match="oracle must be nonempty"):
+            hbaca_compress(dense_oracle(np.zeros(shape)), 4, cfg)
 
     def test_non_integer_workers_rejected(self):
         oracle = product_of_random_oracle(32, 4, seed=95)

@@ -13,6 +13,8 @@ from lrcompress.kernels import (
     PointCloud,
     PointFileError,
     PolynomialKernel,
+    SubblockOracle,
+    kernel_oracle,
     load_dense_matrix,
     load_point_cloud,
     offdiag_oracle,
@@ -274,6 +276,67 @@ class TestOracleSurface:
         o = offdiag_oracle(Hankel2DKernel(40.0), cloud)
         assert o.dtype == np.complex128
         assert o.dense().dtype == np.complex128
+
+
+class TestInputChecks:
+    def test_subblock_ranges_out_of_bounds(self):
+        o = product_of_random_oracle(12, 2, seed=14)
+        for rows, cols in [((0, 13), (0, 4)), ((-1, 4), (0, 4)), ((5, 4), (0, 4))]:
+            with pytest.raises(ValueError, match="row range out of bounds"):
+                SubblockOracle(o, *rows, *cols)
+        for cols in [(0, 13), (-1, 4), (5, 4)]:
+            with pytest.raises(ValueError, match="column range out of bounds"):
+                o.subblock(0, 4, *cols)
+        # empty and whole ranges are in bounds
+        assert SubblockOracle(o, 3, 3, 0, 12).shape == (0, 12)
+
+    @pytest.mark.parametrize("matrix", [np.ones(4), np.ones((2, 2, 2))])
+    def test_dense_oracle_needs_a_matrix(self, matrix):
+        with pytest.raises(ValueError, match="must be 2-d"):
+            DenseOracle(matrix)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.inf)])
+    def test_dense_oracle_needs_finite_entries(self, bad):
+        a = np.ones((3, 3), dtype=complex if isinstance(bad, complex) else float)
+        a[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            DenseOracle(a)
+
+    def test_kernel_oracle_point_dimensions_must_agree(self):
+        with pytest.raises(ValueError, match="dimensions disagree"):
+            KernelOracle(GaussianKernel(1.0), np.zeros((4, 2)), np.ones((3, 3)))
+
+    def test_low_rank_product_inner_dimensions_must_agree(self):
+        with pytest.raises(ValueError, match="inner dimensions disagree"):
+            LowRankProductOracle(np.ones((4, 2)), np.ones((3, 5)))
+
+    @pytest.mark.parametrize("count, dim", [(0, 2), (3, 0), (-1, 2)])
+    def test_random_cloud_arguments(self, count, dim):
+        with pytest.raises(ValueError, match="count and dim must be positive"):
+            random_cloud(count, dim, seed=1)
+
+    def test_strip_cloud_arguments(self):
+        with pytest.raises(ValueError, match="wavenumber"):
+            strip_cloud(0.0, 15)
+        with pytest.raises(ValueError, match="points_per_wavelength"):
+            strip_cloud(10.0, 0)
+
+    @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+    def test_dense_matrix_file_non_finite(self, tmp_path, entry):
+        path = tmp_path / "mat.txt"
+        path.write_text(f"1 2\n3 {entry}\n")
+        with pytest.raises(PointFileError, match="non-finite entries"):
+            load_dense_matrix(path)
+
+    def test_kernel_oracle_over_one_cloud(self):
+        cloud = random_cloud(9, 3, seed=15)
+        kernel = GaussianKernel(0.7)
+        o = kernel_oracle(kernel, cloud)
+        assert o.shape == (9, 9)
+        dense = o.dense()
+        assert np.array_equal(dense, kernel.block(cloud.points, cloud.points))
+        assert np.array_equal(dense, dense.T)
+        assert np.array_equal(np.diag(dense), np.ones(9))
 
 
 class TestSubblockBounds:

@@ -4,10 +4,14 @@ import pytest
 from helpers import gram_epsilon_rank, householder_qrcp, random_factors, rel_fro, traced_peak
 import lrcompress.linalg as linalg_mod
 from lrcompress.linalg import (
+    TIE_RTOL,
     FactorBuffer,
+    LowRankFactors,
     _householder_qr,
     _lr_norms,
     _qrcp_stack,
+    argmax_tied_sq,
+    checked_matrix,
     epsilon_rank,
     lr_norm,
     lr_norm_prefixes,
@@ -329,6 +333,89 @@ class TestQRCPStack:
                 sub = a[b, :mb][:, cols]
                 ref = qrcp(sub, rank=int(cap[b])) if mode == "rank" else qrcp(sub, tol=1e-10)
                 self.check_slice(out, b, ref, rows=np.arange(mb), cols=cols)
+
+
+class TestQRCPScaling:
+    """Inputs whose squares under- or overflow are factored scaled by a
+    power of two: pivots and q are the unscaled run's bit for bit, and rows
+    and t exactly scaled. The suite's RuntimeWarning filter makes any
+    warning on the way an error."""
+
+    @pytest.mark.parametrize("kind", QRCP_KINDS)
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("exponent", [-600, 600])
+    def test_qrcp(self, kind, complex_, exponent):
+        a = _qrcp_case(kind, (12, 30), complex_, 9)
+        s = 2.0**exponent
+        for rule in ({"tol": 1e-10}, {"rank": 10}):
+            want = qrcp(a, **rule)
+            got = qrcp(a * s, **rule)
+            assert got.rank == want.rank
+            assert np.array_equal(got.pivots, want.pivots)
+            assert np.array_equal(got.q, want.q)
+            assert np.array_equal(got.rows, want.rows * s)
+            assert np.array_equal(got.t, want.t * s)
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_mixed_stack(self, complex_):
+        # slices 1 and 2 leave the range; the others keep their bits
+        kinds = ["gaussian", "graded", "duplicated", "near_parallel", "zero"]
+        a = np.stack([_stack_slice(kind, (8, 40), complex_, seed)
+                      for seed, kind in enumerate(kinds)])
+        scales = np.array([1.0, 2.0**600, 2.0**-600, 1.0, 1.0])
+        cap = np.array([8, 8, 6, 8, 8])
+        for tol in (None, 1e-10):
+            want_qt, want_rows, want_t, want_piv, want_rank = _qrcp_stack(a, cap, tol=tol)
+            qt, rows, t, piv, rank = _qrcp_stack(a * scales[:, None, None], cap, tol=tol)
+            assert np.array_equal(rank, want_rank)
+            for b, s in enumerate(scales):
+                k = rank[b]
+                assert np.array_equal(piv[b, :k], want_piv[b, :k])
+                assert np.array_equal(qt[b, :k], want_qt[b, :k])
+                assert np.array_equal(rows[b, :k], want_rows[b, :k] * s)
+                assert np.array_equal(t[b, :k, :k], want_t[b, :k, :k] * s)
+
+
+class TestArgmaxTiedSq:
+    def test_rows_match_the_flat_rule(self):
+        near = 1.0 - 0.5 * TIE_RTOL  # tied with 1.0 within TIE_RTOL
+        apart = 1.0 - 4.0 * TIE_RTOL  # not tied
+        x = np.array([
+            [0.5, 2.0, 2.0, 1.0],  # exact tie
+            [1.0, near, 1.0, 0.0],  # near tie below the maximum
+            [apart, 1.0, near, 0.0],  # the lower index falls outside the window
+            [-np.inf, 0.0, -np.inf, 0.0],  # masked entries
+            [-np.inf, -np.inf, -np.inf, -np.inf],  # nothing left: index 0
+            [0.0, 0.0, 0.0, 0.0],
+        ])
+        got = argmax_tied_sq(x, axis=1)
+        assert list(got) == [argmax_tied_sq(row) for row in x] == [1, 0, 1, 1, 0, 0]
+        # along the other axis: each column's own rule
+        assert list(argmax_tied_sq(x.T, axis=0)) == list(got)
+
+    def test_flat_index_is_an_int(self):
+        got = argmax_tied_sq(np.array([[0.0, 3.0], [3.0, 1.0]]))
+        assert type(got) is int and got == 1
+
+
+class TestInputChecks:
+    def test_checked_matrix_rejects_non_2d(self):
+        for a in (np.ones(3), np.ones((2, 2, 2)), 1.0):
+            with pytest.raises(ValueError, match="must be 2-d"):
+                checked_matrix(a, "a")
+
+    def test_inner_dimensions_must_agree(self):
+        u, v = np.ones((4, 2)), np.ones((3, 5))
+        with pytest.raises(ValueError, match="inner dimensions"):
+            lr_norm(u, v)
+        with pytest.raises(ValueError, match="inner dimensions"):
+            lr_recompress(u, v, 1e-8)
+
+    def test_low_rank_factors_shape(self):
+        u, v = random_factors(41, 7, 5, 3)
+        f = LowRankFactors(u, v)
+        assert f.shape == (7, 5) and f.rank == 3
+        assert np.array_equal(f.matrix(), u @ v)
 
 
 class TestTruncatedSVD:
