@@ -256,7 +256,8 @@ def _qrcp_stack(a, cap, tol=None, eligible=None, lengths=None):
     with np.errstate(over="ignore"):
         norms[0] = _column_norms_sq(a)
     mx = norms[0].max(axis=1, initial=0.0)
-    # a zero slice, its squares all underflowed or not, takes scale 1
+    # zero slices fall outside too, since mx cannot tell them from slices
+    # whose squares all underflowed, and take pow2_scale(0) = 1
     scaled = ~((mx >= SQ_NORM_RANGE[0]) & (mx <= SQ_NORM_RANGE[1]))
     if scaled.any():
         scale = np.ones(nb)

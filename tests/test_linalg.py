@@ -356,6 +356,21 @@ class TestQRCPScaling:
             assert np.array_equal(got.rows, want.rows * s)
             assert np.array_equal(got.t, want.t * s)
 
+    def test_complex_squares_that_overflow_only_when_added(self):
+        # every entry has |re| = |im| = 8e153 / sqrt(2): each part's squared
+        # column norms are finite, their sums are not
+        rng = make_rng(10)
+        phases = np.array([1.0, -1.0, 1j, -1j])[rng.integers(0, 4, (4, 6))]
+        a = 8e153 * (1.0 + 1.0j) / np.sqrt(2.0) * phases
+        s = 2.0**600
+        for rule in ({"tol": 1e-10}, {"rank": 4}):
+            want = qrcp(a / s, **rule)
+            got = qrcp(a, **rule)
+            assert got.rank == want.rank
+            assert np.array_equal(got.pivots, want.pivots)
+            assert np.array_equal(got.q, want.q)
+            assert np.array_equal(got.t, want.t * s)
+
     @pytest.mark.parametrize("complex_", [False, True])
     def test_mixed_stack(self, complex_):
         # slices 1 and 2 leave the range; the others keep their bits
@@ -382,7 +397,7 @@ class TestArgmaxTiedSq:
         apart = 1.0 - 4.0 * TIE_RTOL  # not tied
         x = np.array([
             [0.5, 2.0, 2.0, 1.0],  # exact tie
-            [1.0, near, 1.0, 0.0],  # near tie below the maximum
+            [near, 1.0, 0.5, 0.0],  # a near tie below the maximum wins
             [apart, 1.0, near, 0.0],  # the lower index falls outside the window
             [-np.inf, 0.0, -np.inf, 0.0],  # masked entries
             [-np.inf, -np.inf, -np.inf, -np.inf],  # nothing left: index 0
