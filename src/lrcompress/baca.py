@@ -32,14 +32,28 @@ from .aca import (
     residual_columns,
     residual_rows,
 )
-from .linalg import _lr_norms, _qrcp_stack, checked_matrix, lr_recompress, working_dtype
+from .linalg import (
+    LowRankFactors,
+    _lr_norms,
+    _qrcp_stack,
+    checked_matrix,
+    lr_recompress,
+    working_dtype,
+)
 
 # qrcp stays importable from this module, where perfbench's tracer patches
 # it; the sweeps call the stacked kernel
 from .linalg import qrcp  # noqa: F401
 from .seeding import initial_column_block
 
-__all__ = ["BacaConfig", "select_pivot_blocks", "lrid", "baca_compress", "baca_lockstep"]
+__all__ = [
+    "BacaConfig",
+    "select_pivot_blocks",
+    "lrid",
+    "baca_compress",
+    "baca_lockstep",
+    "lockstep_factors",
+]
 
 
 @dataclass(frozen=True)
@@ -232,8 +246,18 @@ def baca_lockstep(oracles, configs):
 
     Returns
     -------
-    list of (TruncatedSVD, ConvergenceHistory), in oracle order.
+    list of (TruncatedSVD, ConvergenceHistory), in oracle order: each
+    sweep's cross factors after SVD re-compression at its config.tol.
     """
+    return [(lr_recompress(f.u, f.v, config.tol), history)
+            for (f, history), config in zip(lockstep_factors(oracles, configs), configs)]
+
+
+def lockstep_factors(oracles, configs):
+    """``baca_lockstep`` without the final re-compression: the list of
+    (LowRankFactors, ConvergenceHistory) in oracle order, each sweep's
+    accumulated cross factors ``u @ v`` as views of its factor buffers,
+    for callers that truncate them together with other blocks."""
     if len({working_dtype(o.dtype) for o in oracles}) > 1:
         raise ValueError("a lockstep group must be all real or all complex")
     sweeps = [_Sweep(o, config) for o, config in zip(oracles, configs)]
@@ -286,5 +310,4 @@ def baca_lockstep(oracles, configs):
             cols[b] = next_cols[g]
             running.append(b)
 
-    return [(lr_recompress(s.factors.u, s.factors.v, config.tol), s.history)
-            for s, config in zip(sweeps, configs)]
+    return [(LowRankFactors(s.factors.u, s.factors.v), s.history) for s in sweeps]

@@ -4,21 +4,26 @@ truncated-SVD merges, and the analytic cost model.
 The matrix is tiled into n_b = 4^L blocks by L-level binary index trees on
 rows and columns. Every leaf block is compressed independently (blocked
 cross approximation), then for each level the sibling blocks are merged
-horizontally and vertically, never through the dense blocks. A merge uses
-that both blocks' bases on the shared side are already orthonormal: one is
-orthogonalized against the other by block classical Gram-Schmidt with one
-reorthogonalization pass (CGS2), and only the small (r1 + r2)-square core
-gets a truncated SVD. The leaves of one block-row share their rows and
-differ in width by at most one; they are compressed in lockstep
-(``baca_lockstep``) as one task. The tasks run on a process pool, or inline
-for one worker; the merges then run in the calling process, subtree by
-subtree: a depth-first walk of the block quadtree merges each 2x2 group of
-siblings as soon as its children exist and releases each child once it is
-merged, so the merge phase holds the leaves plus at most one partial
-root-to-leaf path. The tasks depend only on the index trees, each merge
-gets the inputs a level-by-level sweep would give it, and leaves and
-merges alike run on single-threaded BLAS, so results are bitwise identical
-at every worker count.
+horizontally and vertically, never through the dense blocks. No leaf is
+truncated on its own: the first horizontal merge takes the raw cross
+factors of two leaves and truncates ``[u_a v_a, u_b v_b]`` as a whole,
+from one Householder QR of ``[u_a, u_b]``, one of each v^T and an SVD of
+the small core. Every later merge uses that both blocks' bases on the
+shared side are already orthonormal: one is orthogonalized against the
+other by block classical Gram-Schmidt with one reorthogonalization pass
+(CGS2), and only the small (r1 + r2)-square core gets a truncated SVD.
+
+A task is one tile of 2^t x 2^t leaves, t = ceil(L / 2): its leaves are
+compressed in lockstep (``lockstep_factors``) as one group and merged up
+to the tile root within the task. The tasks run on a process pool, or
+inline for one worker; the calling process then merges the tile roots
+over the top L - t levels. Merges run subtree by subtree: a depth-first
+walk of the block quadtree merges each 2x2 group of siblings as soon as
+its children exist and releases each child once it is merged, so a walk
+holds its unmerged inputs plus at most one partial root-to-leaf path. The
+tiles depend only on n_b, each merge gets the inputs a level-by-level
+sweep would give it, and leaves and merges alike run on single-threaded
+BLAS, so results are bitwise identical at every worker count.
 """
 
 from __future__ import annotations
@@ -36,8 +41,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .aca import DEGENERATE, _checked_index
-from .baca import baca_compress, baca_lockstep
-from .linalg import TruncatedSVD, _householder_qr, truncated_svd
+from .baca import baca_compress, lockstep_factors
+from .linalg import TruncatedSVD, _householder_qr, _recompress_side_by_side, truncated_svd
 from .seeding import block_seed
 
 __all__ = [
@@ -134,6 +139,13 @@ def _merge_side_by_side(a, b, tol):
     return TruncatedSVD(u=u, sigma=c.sigma, vt=vt)
 
 
+def _merge_leaf_pair(left, right, tol):
+    """Truncated SVD of ``[A, B]`` from the raw cross factors (LowRankFactors
+    ``u @ v``) of two side-by-side leaves, neither truncated on its own:
+    ``[A, B] = [u_a, u_b] blockdiag(v_a, v_b)``, recompressed as a whole."""
+    return _recompress_side_by_side(np.hstack([left.u, right.u]), [left.v, right.v], tol)
+
+
 def merge_pair_horizontal(left, right, tol):
     """Merge two side-by-side blocks sharing a row node into their column
     parent: the right row basis is orthogonalized against the left one
@@ -169,23 +181,21 @@ def merge_pair_vertical(top, bottom, tol):
 
 
 class LeafRecord(NamedTuple):
-    """One leaf compression: BACA iterations, rank accumulated before the
-    final recompression, rank after it, wall seconds and termination. The
-    leaves of one block-row run in lockstep as one task, so ``seconds`` is
-    that task's wall time split evenly across its leaves; at one worker the
-    leaves' seconds add up to at most ``HBacaDiagnostics.leaf_seconds``."""
+    """One leaf compression: BACA iterations, the rank of its cross
+    factors, wall seconds and termination. The leaves of one tile run in
+    lockstep as one task, so ``seconds`` is that task's leaf-phase wall
+    time split evenly across its leaves; at one worker the leaves' seconds
+    add up to ``HBacaDiagnostics.leaf_seconds``."""
 
     iterations: int
     rank_accumulated: int
-    rank: int
     seconds: float
     termination: str
 
 
-def _leaf_record(svd, history, seconds):
+def _leaf_record(history, seconds):
     accumulated = history.records[-1].rank if history.records else 0
-    return LeafRecord(history.iterations, accumulated, svd.rank, seconds,
-                      history.termination)
+    return LeafRecord(history.iterations, accumulated, seconds, history.termination)
 
 
 @dataclass
@@ -193,7 +203,9 @@ class HBacaDiagnostics:
     """Per-level maximum block ranks s_l (index 0 = leaves), per-block ranks
     keyed by (level, row index, col index), leaf blocks that terminated
     degenerate, one ``LeafRecord`` per leaf keyed by (row index, col
-    index), and the wall-clock split between the two phases."""
+    index), and the wall-clock split between the two phases. A leaf's rank
+    is the rank it hands to the first merge: its cross rank, or the
+    truncated rank of the n_blocks = 1 passthrough."""
 
     level_max_rank: list = field(default_factory=list)
     block_ranks: dict = field(default_factory=dict)
@@ -203,20 +215,38 @@ class HBacaDiagnostics:
     merge_seconds: float = 0.0
 
 
-def _row_task(oracle, row_range, col_ranges, configs):
-    # the leaves of one block-row, in lockstep; oracle is None inside a pool
-    # worker, which holds its own copy
+def _tile_task(oracle, tile, level, row_ranges, col_ranges, configs, tol):
+    """Tile ``tile`` = (i, j) of ``level``: its leaves on ``row_ranges`` x
+    ``col_ranges``, compressed in lockstep with ``configs`` in row-major
+    order and merged depth first up to the tile root.
+
+    Returns (root BlockSVD, LeafRecords by leaf, block ranks of the tile
+    as in HBacaDiagnostics.block_ranks, merge seconds); the records carry
+    the leaf phase's seconds. ``oracle`` is None inside a pool worker,
+    which holds its own copy.
+    """
     if oracle is None:
         oracle = _worker_oracle
     t0 = time.perf_counter()
-    leaves = [oracle.subblock(row_range[0], row_range[1], lo, hi) for lo, hi in col_ranges]
-    results = baca_lockstep(leaves, configs)
-    share = (time.perf_counter() - t0) / len(leaves)
-    return [(svd, _leaf_record(svd, history, share)) for svd, history in results]
+    results = lockstep_factors([oracle.subblock(r0, r1, c0, c1)
+                                for r0, r1 in row_ranges for c0, c1 in col_ranges], configs)
+    t1 = time.perf_counter()
+    share = (t1 - t0) / len(results)
+    span = len(col_ranges)
+    blocks, records, ranks = {}, {}, {}
+    for k, (factors, history) in enumerate(results):
+        i, j = tile[0] * span + k // span, tile[1] * span + k % span
+        blocks[0, i, j] = factors
+        records[i, j] = _leaf_record(history, share)
+        ranks[0, i, j] = factors.rank
+    # from here on the walk holds the only reference to each leaf
+    del results, factors
+    root = _merge_subtree(blocks, level, *tile, tol, ranks)
+    return root, records, ranks, time.perf_counter() - t1
 
 
 # Oracle shared with pool workers through the initializer: shipped once per
-# worker instead of once per leaf task.
+# worker instead of once per tile task.
 _worker_oracle = None
 
 
@@ -305,9 +335,9 @@ def _noop(_):
     return None
 
 
-def _compress_leaves(oracle, jobs, workers):
-    """``_row_task`` over ``jobs`` of (row range, column ranges, configs),
-    in job order, and the seconds the tasks took.
+def _run_tasks(oracle, jobs, workers):
+    """``_tile_task`` over ``jobs`` (its arguments after the oracle), in
+    job order, and the wall seconds the tasks took.
 
     One worker runs them inline; more run them through ``Executor.map`` on
     a process pool of at most one process per task, every worker holding
@@ -318,13 +348,13 @@ def _compress_leaves(oracle, jobs, workers):
     workers = min(workers, len(jobs))
     if workers == 1:
         t0 = time.perf_counter()
-        results = [_row_task(oracle, *job) for job in jobs]
+        results = [_tile_task(oracle, *job) for job in jobs]
         return results, time.perf_counter() - t0
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                              initargs=(oracle,)) as pool:
         list(pool.map(_noop, range(workers)))
         t0 = time.perf_counter()
-        results = list(pool.map(_row_task, [None] * len(jobs), *zip(*jobs)))
+        results = list(pool.map(_tile_task, [None] * len(jobs), *zip(*jobs)))
         return results, time.perf_counter() - t0
 
 
@@ -352,17 +382,18 @@ def hbaca_compress(oracle, n_blocks, config, workers=1):
         Leaf compressor settings; block size 1 gives hierarchical plain
         cross approximation. Leaf seeds derive from (config.seed, block id).
     workers : int
-        Process pool size for the leaf compressions, which run one task
-        per block-row of sqrt(n_blocks) leaves in lockstep, so the pool is
-        capped at sqrt(n_blocks); 1 runs them inline. The merges run in the
-        calling process after the pool has shut down, subtree by subtree
-        (depth first over the block quadtree): each child block is released
-        once it is merged, so the merge phase holds the leaves plus at most
-        one partial root-to-leaf path. Leaves and merges run
-        on single-threaded BLAS, so this is the number of cores the call
-        uses, and the result is bitwise identical at every worker count.
-        The caller's BLAS thread count is restored on return or raise;
-        n_blocks=1 runs at that count.
+        Process pool size for the tile tasks. A task is one tile of
+        2^t x 2^t leaves, t = ceil(L / 2) for n_blocks = 4^L: its leaves
+        run in lockstep and are merged up to the tile root in the task, so
+        the pool is capped at the 4^(L - t) tiles; 1 runs them inline, one
+        tile at a time. The calling process merges the tile roots over the
+        top L - t levels after the pool has shut down. Every merge walk is
+        depth first over the block quadtree and releases each child block
+        once it is merged. Leaves and merges run on single-threaded BLAS,
+        so this is the number of cores the call uses, and the result is
+        bitwise identical at every worker count. The caller's BLAS thread
+        count is restored on return or raise; n_blocks=1 runs at that
+        count.
 
     Returns
     -------
@@ -370,14 +401,21 @@ def hbaca_compress(oracle, n_blocks, config, workers=1):
 
     Notes
     -----
-    Truncation errors compound up the hierarchy. The leaves and each of
-    the 2L merge half-steps (horizontal, then vertical, at each of the L
-    levels) drop singular values below ``config.tol`` relative to the
-    largest one of the block at hand, and the errors of successive steps
-    add. The root's relative error is therefore bounded by roughly the sum
-    over the steps, about (2L + 1) times the error of one truncation at
-    ``config.tol``, not by ``config.tol`` alone; pass a proportionally
-    smaller tolerance when the bound must hold for the whole matrix.
+    Truncation errors compound up the hierarchy. Each of the 2L merge
+    half-steps (horizontal, then vertical, at each of the L levels) drops
+    singular values below ``config.tol`` relative to the largest one of
+    the block at hand, and the errors of successive steps add; the leaves'
+    cross factors are not truncated before the first merge. The root's
+    relative error is therefore bounded by roughly the sum over the steps,
+    about 2L times the error of one truncation at ``config.tol``, not by
+    ``config.tol`` alone; pass a proportionally smaller tolerance when the
+    bound must hold for the whole matrix.
+
+    ``leaf_seconds`` and ``merge_seconds`` of the diagnostics are the
+    tasks' leaf and merge phases summed, plus the caller's merges. When
+    the tasks' summed time exceeds their wall time, as on a pool, both
+    task sums are scaled down to the wall time in proportion, so the two
+    never add up to more than the call.
     """
     if _checked_index(workers, "workers") < 1:
         raise ValueError("workers must be >= 1")
@@ -394,7 +432,7 @@ def hbaca_compress(oracle, n_blocks, config, workers=1):
             level_max_rank=[svd.rank],
             block_ranks={(0, 0, 0): svd.rank},
             degenerate_blocks=[(0, 0)] if history.termination == DEGENERATE else [],
-            leaves={(0, 0): _leaf_record(svd, history, seconds)},
+            leaves={(0, 0): _leaf_record(history, seconds)},
             leaf_seconds=seconds,
             merge_seconds=0.0,
         )
@@ -406,29 +444,41 @@ def hbaca_compress(oracle, n_blocks, config, workers=1):
     row_tree = build_index_tree(m, levels)
     col_tree = build_index_tree(n, levels)
 
+    tile_level = (levels + 1) // 2
+    span = 2**tile_level
+    tiles = range(0, side, span)
+    jobs = [((i // span, j // span), tile_level,
+             row_tree.leaves()[i:i + span], col_tree.leaves()[j:j + span],
+             [replace(config, seed=block_seed(config.seed, a * side + b))
+              for a in range(i, i + span) for b in range(j, j + span)],
+             config.tol)
+            for i in tiles for j in tiles]
+
     # leaves and merges run on single-threaded BLAS, in the caller as in the
     # pool workers
     diag = HBacaDiagnostics()
     with _single_threaded_blas:
-        jobs = [(row_range, col_tree.leaves(),
-                 [replace(config, seed=block_seed(config.seed, i * side + j))
-                  for j in range(side)])
-                for i, row_range in enumerate(row_tree.leaves())]
-        results, diag.leaf_seconds = _compress_leaves(oracle, jobs, workers)
-        grid = [[BlockSVD((0, i), (0, j), svd) for j, (svd, _) in enumerate(row)]
-                for i, row in enumerate(results)]
-        diag.leaves = {(i, j): record for i, row in enumerate(results)
-                       for j, (_, record) in enumerate(row)}
-        # from here on the grid holds the only reference to each leaf
-        del results
-        for (i, j), record in diag.leaves.items():
-            diag.block_ranks[0, i, j] = record.rank
-            if record.termination == DEGENERATE:
-                diag.degenerate_blocks.append((i, j))
+        results, wall = _run_tasks(oracle, jobs, workers)
+        roots = {}
+        merge_s = 0.0
+        for root, records, ranks, seconds in results:
+            roots[(*root.row_node, root.col_node[1])] = root
+            diag.leaves.update(records)
+            diag.block_ranks.update(ranks)
+            merge_s += seconds
+        # from here on the walk holds the only reference to each tile root
+        del results, root
+        diag.leaves = dict(sorted(diag.leaves.items()))
+        diag.degenerate_blocks = [key for key, record in diag.leaves.items()
+                                  if record.termination == DEGENERATE]
+        leaf_s = sum(record.seconds for record in diag.leaves.values())
+        # tasks that overlapped on a pool share its wall time
+        scale = 1.0 if leaf_s + merge_s <= wall else wall / (leaf_s + merge_s)
+        diag.leaf_seconds = scale * leaf_s
 
         t0 = time.perf_counter()
-        root = _merge_subtree(grid, levels, 0, 0, config.tol, diag.block_ranks)
-        diag.merge_seconds = time.perf_counter() - t0
+        root = _merge_subtree(roots, levels, 0, 0, config.tol, diag.block_ranks)
+        diag.merge_seconds = scale * merge_s + time.perf_counter() - t0
 
     # the walk records ranks depth first; list them level by level, row by row
     diag.block_ranks = dict(sorted(diag.block_ranks.items()))
@@ -438,23 +488,31 @@ def hbaca_compress(oracle, n_blocks, config, workers=1):
     return root.svd, diag
 
 
-def _merge_subtree(grid, level, i, j, tol, ranks):
-    """Block (i, j) of ``level``, merged depth first from the leaf blocks
-    under it in ``grid``.
+def _merge_subtree(blocks, level, i, j, tol, ranks):
+    """Block (i, j) of ``level``, merged depth first from the blocks under
+    it in ``blocks``, a dict keyed by (level, i, j) whose level-0 entries
+    are raw leaf factors (LowRankFactors) and the others BlockSVDs.
 
     The top pair of children is merged horizontally as soon as both exist,
-    then the bottom pair, then the two halves vertically. Each leaf is taken
-    out of ``grid``, and each child released once merged, so the walk holds
-    the unmerged leaves plus at most one partial root-to-leaf path. Merged
-    blocks' ranks are recorded in ``ranks`` under (level, i, j).
+    then the bottom pair, then the two halves vertically; at level 1 the
+    horizontal merges take the raw leaves (``_merge_leaf_pair``). Each
+    block is taken out of ``blocks``, and each child released once merged,
+    so the walk holds the unmerged blocks plus at most one partial
+    root-to-leaf path. Merged blocks' ranks are recorded in ``ranks`` under
+    (level, i, j).
     """
-    if level == 0:
-        block, grid[i][j] = grid[i][j], None
+    block = blocks.pop((level, i, j), None)
+    if block is not None:
         return block
-    halves = [merge_pair_horizontal(_merge_subtree(grid, level - 1, row, 2 * j, tol, ranks),
-                                    _merge_subtree(grid, level - 1, row, 2 * j + 1, tol, ranks),
-                                    tol)
-              for row in (2 * i, 2 * i + 1)]
+    halves = []
+    for row in (2 * i, 2 * i + 1):
+        left = _merge_subtree(blocks, level - 1, row, 2 * j, tol, ranks)
+        right = _merge_subtree(blocks, level - 1, row, 2 * j + 1, tol, ranks)
+        if level == 1:
+            halves.append(BlockSVD((0, row), (1, j), _merge_leaf_pair(left, right, tol)))
+        else:
+            halves.append(merge_pair_horizontal(left, right, tol))
+        del left, right
     block = merge_pair_vertical(*halves, tol)
     ranks[level, i, j] = block.rank
     return block

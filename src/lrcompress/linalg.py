@@ -558,11 +558,31 @@ def lr_recompress(u, v, tol):
     v = checked_matrix(v, "v")
     if u.shape[1] != v.shape[0]:
         raise ValueError(f"inner dimensions disagree: {u.shape} vs {v.shape}")
+    return _recompress_side_by_side(u, [v], tol)
+
+
+def _recompress_side_by_side(u, vs, tol):
+    """Truncated SVD at ``tol`` of the low-rank blocks ``u_i @ vs[i]`` side
+    by side, ``u @ blockdiag(*vs)``, where u_i are the columns of ``u``
+    matching the rows of ``vs[i]``; ``lr_recompress`` is the case of one
+    block, for checked inputs.
+
+    One Householder QR of u and one of each v_i^T: the core is
+    ``[R_u[:, i] R_i^T]`` over the blocks i, of R_u's rows by the summed
+    ranks of the R_i, and each block of its right singular vectors gets its
+    own v_i's Q. A block may hold more rank than it has rows or columns,
+    and together more than u has rows; every R then has the smaller side.
+    """
     # v^T = conj(Q_v) conj(R_v) for the QR v^H = Q_v R_v, so R_v^H = tv.T
     # and vt = core.vt Q_v^H = (conj(Q_v) core.vt^T)^T
     tu, qu_times = _householder_qr(u)
-    tv, qv_times = _householder_qr(v.T)
-    core = truncated_svd(tu @ tv.T, tol)
+    tvs = [_householder_qr(v.T) for v in vs]
+    inner = np.cumsum([0] + [v.shape[0] for v in vs])
+    core = truncated_svd(np.hstack([tu[:, lo:hi] @ tv.T for (tv, _), lo, hi
+                                    in zip(tvs, inner, inner[1:])]), tol)
     u = qu_times(core.u)
     del qu_times
-    return TruncatedSVD(u=u, sigma=core.sigma, vt=qv_times(core.vt.T).T)
+    outer = np.cumsum([0] + [tv.shape[0] for tv, _ in tvs])
+    vt = [qv_times(core.vt[:, lo:hi].T).T for (_, qv_times), lo, hi
+          in zip(tvs, outer, outer[1:])]
+    return TruncatedSVD(u=u, sigma=core.sigma, vt=vt[0] if len(vt) == 1 else np.hstack(vt))

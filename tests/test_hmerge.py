@@ -2,6 +2,7 @@ import ctypes
 import os
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -363,8 +364,11 @@ class TestHBaca:
         )
         assert svd.rank == 1
         assert rel_fro(svd.matrix(), a) <= 1e-10
-        assert all(r == 1 for r in diag.block_ranks.values())
-        assert diag.level_max_rank == [1, 1, 1]
+        # the leaves hand on their cross factors untruncated; every merge
+        # truncates to rank one
+        assert all(r >= 1 for (level, _, _), r in diag.block_ranks.items() if level == 0)
+        assert all(r == 1 for (level, _, _), r in diag.block_ranks.items() if level > 0)
+        assert diag.level_max_rank[1:] == [1, 1]
 
     def test_product_of_random_recovery(self):
         oracle = product_of_random_oracle(512, 64, seed=90)
@@ -403,17 +407,20 @@ class TestHBaca:
         oracle = product_of_random_oracle(128, 12, seed=97)
         cfg = BacaConfig(block_size=4, tol=1e-6, seed=4)
         _, diag = hbaca_compress(oracle, 16, cfg, workers=1)
-        assert sorted(diag.leaves) == [(i, j) for i in range(4) for j in range(4)]
+        assert list(diag.leaves) == [(i, j) for i in range(4) for j in range(4)]
         for (i, j), leaf in diag.leaves.items():
-            assert leaf.rank == diag.block_ranks[(0, i, j)]
-            assert leaf.rank <= leaf.rank_accumulated
+            # a leaf hands its cross factors to the first merge untruncated
+            assert leaf.rank_accumulated == diag.block_ranks[(0, i, j)]
             assert leaf.iterations >= 1
             assert leaf.seconds > 0.0
             assert (leaf.termination == DEGENERATE) == ((i, j) in diag.degenerate_blocks)
-        assert sum(leaf.seconds for leaf in diag.leaves.values()) <= diag.leaf_seconds
-        # a block-row runs as one task: its wall time is split evenly
-        for i in range(4):
-            assert len({diag.leaves[i, j].seconds for j in range(4)}) == 1
+        assert sum(leaf.seconds for leaf in diag.leaves.values()) == diag.leaf_seconds
+        # a 2 x 2 tile runs as one task: its leaf-phase wall time is split
+        # evenly, and tiles differ
+        tiles = [{diag.leaves[i + a, j + b].seconds for a in (0, 1) for b in (0, 1)}
+                 for i in (0, 2) for j in (0, 2)]
+        assert all(len(tile) == 1 for tile in tiles)
+        assert len(set.union(*tiles)) > 1
 
     def test_single_block_leaf_record(self):
         oracle = product_of_random_oracle(40, 6, seed=70)
@@ -423,8 +430,9 @@ class TestHBaca:
         leaf = diag.leaves[0, 0]
         assert leaf.iterations == history.iterations
         assert leaf.rank_accumulated == history.records[-1].rank
-        assert leaf.rank == svd.rank
         assert leaf.termination == history.termination
+        # the passthrough truncates: its leaf hands on the truncated rank
+        assert diag.block_ranks == {(0, 0, 0): svd.rank}
 
     def test_parallel_leaf_records_match_serial(self):
         oracle = product_of_random_oracle(128, 12, seed=91)
@@ -433,7 +441,7 @@ class TestHBaca:
         _, d2 = hbaca_compress(oracle, 16, cfg, workers=2)
 
         def counts(diag):
-            return {key: (leaf.iterations, leaf.rank_accumulated, leaf.rank, leaf.termination)
+            return {key: (leaf.iterations, leaf.rank_accumulated, leaf.termination)
                     for key, leaf in diag.leaves.items()}
 
         assert counts(d1) == counts(d2)
@@ -517,17 +525,20 @@ class TestHBaca:
         assert rel_fro(svd.matrix(), a) <= 1e-4
 
 
-def _level_by_level(leaf_svds, tol):
+def _level_by_level(leaves, tol):
     # the root and the block ranks of merging every level in full before
-    # the next, from the leaf SVDs in block-row order
-    grid = [[BlockSVD((0, i), (0, j), svd) for j, svd in enumerate(row)]
-            for i, row in enumerate(leaf_svds)]
-    ranks = {(0, i, j): b.rank for i, row in enumerate(grid) for j, b in enumerate(row)}
-    level = 0
+    # the next, from the raw leaf factors in a row-major grid; the first
+    # horizontal merges take the raw leaves
+    ranks = {(0, i, j): f.rank for i, row in enumerate(leaves) for j, f in enumerate(row)}
+    grid, level = leaves, 0
     while len(grid) > 1:
         level += 1
-        half = [[merge_pair_horizontal(row[j], row[j + 1], tol) for j in range(0, len(row), 2)]
-                for row in grid]
+        if level == 1:
+            half = [[BlockSVD((0, i), (1, j // 2), hmerge_mod._merge_leaf_pair(*row[j:j + 2], tol))
+                     for j in range(0, len(row), 2)] for i, row in enumerate(grid)]
+        else:
+            half = [[merge_pair_horizontal(*row[j:j + 2], tol) for j in range(0, len(row), 2)]
+                    for row in grid]
         grid = [[merge_pair_vertical(top, bottom, tol) for top, bottom in zip(half[i], half[i + 1])]
                 for i in range(0, len(half), 2)]
         ranks.update(((level, i, j), b.rank) for i, row in enumerate(grid)
@@ -539,25 +550,35 @@ class TestDepthFirstMerges:
     @pytest.mark.parametrize("case", ["prodrand-uneven", "hankel-complex"])
     def test_equal_to_level_by_level_merges(self, monkeypatch, case):
         if case == "prodrand-uneven":
-            # leaves 125 and 126 columns wide
-            oracle, n_blocks = product_of_random_oracle(1003, 20, seed=16), 64
+            # leaves 125 and 126 columns wide, in 2 x 2 tiles of 4 x 4 leaves
+            oracle, n_blocks, span = product_of_random_oracle(1003, 20, seed=16), 64, 4
             cfg = BacaConfig(block_size=8, tol=1e-8, seed=5)
         else:
+            # 2 x 2 tiles of 2 x 2 leaves
             oracle = offdiag_oracle(Hankel2DKernel(300.0), strip_cloud(300.0, 15))
-            n_blocks, cfg = 16, BacaConfig(block_size=8, tol=1e-6, seed=3)
-        leaf_svds = []
-        row_task = hmerge_mod._row_task
+            n_blocks, span, cfg = 16, 2, BacaConfig(block_size=8, tol=1e-6, seed=3)
+        side = int(np.sqrt(n_blocks))
+        tiles = []
+        lockstep = hmerge_mod.lockstep_factors
 
         def capturing(*args):
-            out = row_task(*args)
-            leaf_svds.append([svd for svd, _ in out])
+            out = lockstep(*args)
+            tiles.append([factors for factors, _ in out])
             return out
 
-        monkeypatch.setattr(hmerge_mod, "_row_task", capturing)
+        monkeypatch.setattr(hmerge_mod, "lockstep_factors", capturing)
         got, diag = hbaca_compress(oracle, n_blocks, cfg, workers=1)
+        # the tiles run in row-major order, their leaves row-major within
+        assert len(tiles) == (side // span) ** 2
+        leaves = [[None] * side for _ in range(side)]
+        for k, tile in enumerate(tiles):
+            ti, tj = divmod(k, side // span)
+            for q, factors in enumerate(tile):
+                a, b = divmod(q, span)
+                leaves[ti * span + a][tj * span + b] = factors
         # on single-threaded BLAS, as hbaca_compress merges
         with hmerge_mod._single_threaded_blas:
-            want, ranks = _level_by_level(leaf_svds, cfg.tol)
+            want, ranks = _level_by_level(leaves, cfg.tol)
         assert np.array_equal(got.u, want.u)
         assert np.array_equal(got.sigma, want.sigma)
         assert np.array_equal(got.vt, want.vt)
@@ -568,8 +589,10 @@ class TestDepthFirstMerges:
             for level in range(len(diag.level_max_rank))]
 
     def test_peak_memory_near_the_leaf_factors(self):
-        # the merge phase holds the unmerged leaves plus one partial
-        # root-to-leaf path, not a level's inputs and outputs together
+        # at one worker the tiles run one at a time, and each walk holds its
+        # unmerged blocks plus one partial root-to-leaf path, not a level's
+        # inputs and outputs together: the peak stays below the leaves'
+        # cross factors taken together
         n, n_blocks = 2048, 64
         oracle = product_of_random_oracle(n, 32, seed=1)
         cfg = BacaConfig(block_size=8, tol=1e-6, seed=1)
@@ -579,7 +602,8 @@ class TestDepthFirstMerges:
         leaf_bytes = sum(
             rank * (leaves[i][1] - leaves[i][0] + leaves[j][1] - leaves[j][0]) * 8
             for (level, i, j), rank in diag.block_ranks.items() if level == 0)
-        assert peak <= 1.6 * leaf_bytes
+        # 6.7 MB traced against 10.5 MB of cross factors (leaf rank 40)
+        assert peak <= 0.8 * leaf_bytes
 
 
 def _blas_threads():
@@ -636,26 +660,29 @@ class _SingleThreadOnlyOracle(DenseOracle):
         return super().block(row_idx, col_idx)
 
 
-class _FailingRowOracle(LowRankProductOracle):
-    # picklable; appends the first row of every block-row task that starts
-    # to a log file, and fails the task of block-row 0 at once
-    def __init__(self, u, v, log):
+class _FailingTileOracle(LowRankProductOracle):
+    # picklable; appends the first leaf of every tile task that starts, the
+    # one whose corner lies on the tile grid, to a log file, and fails the
+    # task of tile (0, 0) at once
+    def __init__(self, u, v, tile, log):
         super().__init__(u, v)
+        self.tile = tile
         self.log = log
 
     def subblock(self, row_lo, row_hi, col_lo, col_hi):
-        if col_lo == 0:
+        if row_lo % self.tile == 0 and col_lo % self.tile == 0:
             with open(self.log, "a") as fh:
-                fh.write(f"{row_lo}\n")
-        if row_lo == 0:
+                fh.write(f"{row_lo},{col_lo}\n")
+        if row_lo == col_lo == 0:
             raise RuntimeError("leaf failure")
         return super().subblock(row_lo, row_hi, col_lo, col_hi)
 
 
 def _recording_merges(monkeypatch, record):
     # wraps the merges hbaca_compress looks up as module attributes; the
-    # wrappers are closures, which cannot be pickled to a pool worker
-    for name in ("merge_pair_horizontal", "merge_pair_vertical"):
+    # wrappers are closures, which cannot be pickled to a pool worker, and
+    # calls in a worker are recorded there, never in the caller
+    for name in ("_merge_leaf_pair", "merge_pair_horizontal", "merge_pair_vertical"):
         def wrapped(*args, _merge=getattr(hmerge_mod, name)):
             record()
             return _merge(*args)
@@ -682,27 +709,49 @@ class TestWorkerBlasThreads:
         assert hmerge_mod._worker_oracle is oracle
         assert _blas_threads() == 1
 
-    def test_merges_after_a_pool_run_single_threaded(self, caller_blas_threads, monkeypatch):
+    def test_merges_run_single_threaded(self, caller_blas_threads, monkeypatch):
         threads = []
         _recording_merges(monkeypatch, lambda: threads.append(_blas_threads()))
         oracle = product_of_random_oracle(64, 6, seed=14)
-        hbaca_compress(oracle, 16, BacaConfig(block_size=4, tol=1e-8, seed=2), workers=2)
+        cfg = BacaConfig(block_size=4, tol=1e-8, seed=2)
+        # inline, every merge: the four tiles' 8 + 4 and the caller's 2 + 1
+        hbaca_compress(oracle, 16, cfg, workers=1)
         assert threads == [1] * (8 + 4 + 2 + 1)
+        # after a pool run, the caller's own; the tiles' run in the workers,
+        # which the initializer pins
+        threads.clear()
+        hbaca_compress(oracle, 16, cfg, workers=2)
+        assert threads == [1] * (2 + 1)
         assert _blas_threads() == caller_blas_threads
 
 
-class TestLeafOnlyPool:
-    def test_merges_run_in_the_calling_process(self, monkeypatch):
+class TestTilePool:
+    def test_the_caller_merges_only_above_the_tiles(self, monkeypatch):
         pids = []
         _recording_merges(monkeypatch, lambda: pids.append(os.getpid()))
         oracle = product_of_random_oracle(64, 6, seed=14)
         cfg = BacaConfig(block_size=4, tol=1e-8, seed=2)
         svd, _ = hbaca_compress(oracle, 16, cfg, workers=2)
         assert svd.rank == 6
-        assert pids == [os.getpid()] * (8 + 4 + 2 + 1)
+        # four tiles of 2 x 2 leaves, each merged to its root in a worker:
+        # the caller merges the roots, two horizontal merges and a vertical
+        assert pids == [os.getpid()] * (2 + 1)
+
+    def test_phase_times_fit_in_the_call(self):
+        # on a pool the tasks overlap: their summed leaf and merge times are
+        # scaled down to the pool's wall time
+        oracle = product_of_random_oracle(256, 8, seed=18)
+        cfg = BacaConfig(block_size=4, tol=1e-8, seed=3)
+        for workers in (1, 2):
+            t0 = time.perf_counter()
+            _, diag = hbaca_compress(oracle, 16, cfg, workers=workers)
+            total = time.perf_counter() - t0
+            assert diag.leaf_seconds > 0.0 and diag.merge_seconds > 0.0
+            assert diag.leaf_seconds + diag.merge_seconds <= total
 
     def test_pool_is_capped_at_the_task_count(self, monkeypatch):
-        # one task per block-row of leaves: 4 leaves make 2 tasks
+        # one task per tile: 16 leaves make 4 tiles of 2 x 2, and 4 leaves
+        # one tile, which runs inline
         sizes = []
         real = hmerge_mod.ProcessPoolExecutor
 
@@ -713,20 +762,23 @@ class TestLeafOnlyPool:
         monkeypatch.setattr(hmerge_mod, "ProcessPoolExecutor", recording)
         oracle = product_of_random_oracle(32, 3, seed=15)
         cfg = BacaConfig(block_size=2, tol=1e-8, seed=4)
-        want, _ = hbaca_compress(oracle, 4, cfg, workers=1)
-        got, _ = hbaca_compress(oracle, 4, cfg, workers=8)
-        assert sizes == [2]
-        assert np.array_equal(got.u, want.u) and np.array_equal(got.vt, want.vt)
+        for n_blocks in (16, 4):
+            want, _ = hbaca_compress(oracle, n_blocks, cfg, workers=1)
+            got, _ = hbaca_compress(oracle, n_blocks, cfg, workers=8)
+            assert np.array_equal(got.u, want.u) and np.array_equal(got.vt, want.vt)
+        assert sizes == [4]
 
     def test_a_failing_task_cancels_the_tasks_not_started(self, tmp_path):
+        # 256 leaves of 128 x 128 make 16 tiles of 512 x 512
         u, v = random_factors(17, 2048, 2048, 64)
         log = tmp_path / "started.txt"
-        oracle = _FailingRowOracle(u, v, str(log))
+        oracle = _FailingTileOracle(u, v, 512, str(log))
         with pytest.raises(RuntimeError, match="leaf failure"):
-            hbaca_compress(oracle, 64, BacaConfig(block_size=8, tol=1e-6, seed=1), workers=2)
+            hbaca_compress(oracle, 256, BacaConfig(block_size=8, tol=1e-6, seed=1), workers=2)
         started = log.read_text().split()
-        assert "0" in started
-        assert len(started) < 8
+        assert "0,0" in started
+        # the queue holds a few tasks ahead of the workers: 5 or 6 start
+        assert len(started) < 10
 
 
 class TestSingleThreadedTasks:
@@ -755,9 +807,13 @@ class TestSingleThreadedTasks:
         from lrcompress.kernels import Hankel2DKernel, offdiag_oracle, strip_cloud
 
         hankel = offdiag_oracle(Hankel2DKernel(300.0), strip_cloud(300.0, 15))
-        cases = [(hankel, 16, BacaConfig(block_size=8, tol=1e-6, seed=3)),
-                 (product_of_random_oracle(1003, 20, seed=16), 64,
-                  BacaConfig(block_size=8, tol=1e-8, seed=5))]
+        uneven = product_of_random_oracle(1003, 20, seed=16)
+        cfg = BacaConfig(block_size=8, tol=1e-8, seed=5)
+        # one tile, 4 tiles of 2 x 2, 4 of 4 x 4 and 16 of 4 x 4 leaves
+        cases = [(uneven, 4, cfg),
+                 (hankel, 16, BacaConfig(block_size=8, tol=1e-6, seed=3)),
+                 (uneven, 64, cfg),
+                 (uneven, 256, cfg)]
         for oracle, n_blocks, cfg in cases:
             (a, da), *others = [hbaca_compress(oracle, n_blocks, cfg, workers=w)
                                 for w in (1, 2, 3)]
