@@ -34,6 +34,7 @@ from .kernels import full_range
 from .linalg import (
     FactorBuffer,
     LowRankFactors,
+    _check_tol,
     argmax_tied_sq,
     lr_norm_prefixes,
     pow2_scale,
@@ -123,8 +124,7 @@ def _checked_index(value, name):
 
 def _check_config(config):
     # the tolerance, rank-cap and seed rules both sweep configs share
-    if not 0.0 < config.tol < 1.0:
-        raise ValueError(f"tol must be in (0, 1), got {config.tol}")
+    _check_tol(config.tol)
     if config.max_rank is not None and _checked_index(config.max_rank, "max_rank") < 1:
         raise ValueError("max_rank must be positive when given")
     if _checked_index(config.seed, "seed") < 0:

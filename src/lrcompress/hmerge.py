@@ -29,9 +29,6 @@ BLAS, so results are bitwise identical at every worker count.
 from __future__ import annotations
 
 import ctypes
-import functools
-import glob
-import os
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -42,7 +39,8 @@ import numpy as np
 
 from .aca import DEGENERATE, _checked_index
 from .baca import baca_compress, lockstep_factors
-from .linalg import TruncatedSVD, _householder_qr, _recompress_side_by_side, truncated_svd
+from .linalg import (TruncatedSVD, _bundled_openblas, _householder_qr, _recompress_side_by_side,
+                     truncated_svd)
 from .seeding import block_seed
 
 __all__ = [
@@ -248,22 +246,6 @@ def _tile_task(oracle, tile, level, row_ranges, col_ranges, configs, tol):
 # Oracle shared with pool workers through the initializer: shipped once per
 # worker instead of once per tile task.
 _worker_oracle = None
-
-
-@functools.cache
-def _bundled_openblas():
-    """numpy's bundled OpenBLAS (wheel builds ship it in numpy.libs), or
-    None for a numpy linked against some other BLAS; looked up once per
-    process."""
-    libs_dir = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    libs = sorted(glob.glob(os.path.join(libs_dir, "libscipy_openblas64_*.so*")))
-    if not libs:
-        return None
-    try:
-        # already loaded by numpy: this returns a handle to the same copy
-        return ctypes.CDLL(libs[0])
-    except OSError:
-        return None
 
 
 def _limit_blas_threads():

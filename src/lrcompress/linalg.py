@@ -3,17 +3,22 @@
 QRCP (greedy column pivoting over left-looking classical Gram-Schmidt with
 one reorthogonalization pass, CGS2) is implemented directly so that pivot
 tie-breaking, partial-rank early exit and the tolerance stopping rule are
-fully under our control; SVD and unpivoted QR defer to LAPACK through
-numpy. Unpivoted QR keeps Q as LAPACK's Householder reflectors and
-applies it from them (compact WY form) without ever forming it.
+fully under our control; SVD defers to LAPACK through numpy. Unpivoted
+QR calls LAPACK's blocked compact-WY routines ``?geqrt``/``?gemqrt`` in
+the OpenBLAS that numpy bundles, through ctypes, and falls back to
+numpy's ``qr`` where numpy carries no such library. Either way Q stays
+Householder reflectors and is applied from them without ever being formed.
 Everything is generic over float64 and complex128: "transpose" means
 conjugate transpose throughout.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
+import glob
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +57,14 @@ SETTLE_CHUNK = 32
 # by pow2_scale.
 SQ_NORM_RANGE = (2.0**-918, 2.0**918)
 
+# Columns per block of the compact-WY Householder QR (?geqrt's NB): each
+# block of reflectors shares one triangular T factor, and ?gemqrt applies
+# them a block at a time.
+QR_BLOCK = 32
+
+# LAPACKE's matrix_layout value for column-major arrays
+_COL_MAJOR = 102
+
 
 def working_dtype(dtype):
     return np.complex128 if np.dtype(dtype).kind == "c" else np.float64
@@ -66,6 +79,12 @@ def checked_matrix(a, name="matrix"):
     if a.size and not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     return a
+
+
+def _check_tol(tol):
+    # the relative tolerance rule of every public entry point and config
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must be in (0, 1), got {tol}")
 
 
 def argmax_tied_sq(sq, axis=None):
@@ -358,7 +377,7 @@ def qrcp(a, rank=None, tol=None):
     rank : int, optional
         Fixed step count, 0 <= rank <= min(m, n).
     tol : float, optional
-        Relative diagonal cutoff.
+        Relative diagonal cutoff, in (0, 1).
 
     Returns
     -------
@@ -370,6 +389,8 @@ def qrcp(a, rank=None, tol=None):
     m, n = a.shape
     if rank is not None and not 0 <= rank <= min(m, n):
         raise ValueError(f"rank must be in [0, {min(m, n)}], got {rank}")
+    if tol is not None:
+        _check_tol(tol)
 
     cap = np.array([min(m, n) if rank is None else rank])
     # one memory layout, so the bits never depend on the caller's
@@ -387,7 +408,9 @@ def qrcp(a, rank=None, tol=None):
 
 def epsilon_rank(sigma, tol):
     """Smallest k with ``sigma[k] < tol * sigma[0]`` (strict); the full length
-    if never triggered; 0 for an empty or zero spectrum."""
+    if never triggered; 0 for an empty or zero spectrum. ``tol`` must lie
+    in (0, 1)."""
+    _check_tol(tol)
     sigma = np.asarray(sigma)
     if sigma.size == 0 or sigma[0] == 0.0:
         return 0
@@ -396,7 +419,9 @@ def epsilon_rank(sigma, tol):
 
 
 def truncated_svd(a, tol):
-    """Truncated SVD of a dense matrix at relative tolerance ``tol``."""
+    """Truncated SVD of a dense matrix at relative tolerance ``tol`` in
+    (0, 1), by ``epsilon_rank``."""
+    _check_tol(tol)
     u, s, vt = np.linalg.svd(checked_matrix(a, "a"), full_matrices=False)
     r = epsilon_rank(s, tol)
     return TruncatedSVD(u=np.ascontiguousarray(u[:, :r]), sigma=s[:r].copy(),
@@ -499,19 +524,118 @@ def lr_norm_update(u, v, mu, ubar, vbar, nu):
     return lr_norm_prefixes(np.hstack([u, ubar]), np.vstack([v, vbar]), mu, [u.shape[1]], [nu])[0]
 
 
-def _householder_qr(a):
-    """Thin QR ``a = q @ r`` of an (m, k) matrix with q never formed.
+@functools.cache
+def _bundled_openblas():
+    """numpy's bundled OpenBLAS (wheel builds ship it in numpy.libs), or
+    None for a numpy linked against some other BLAS; looked up once per
+    process."""
+    libs_dir = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    libs = sorted(glob.glob(os.path.join(libs_dir, "libscipy_openblas64_*.so*")))
+    if not libs:
+        return None
+    try:
+        # already loaded by numpy: this returns a handle to the same copy
+        return ctypes.CDLL(libs[0])
+    except OSError:
+        return None
 
-    Returns ``(r, q_times)``: r is the (l, k) upper trapezoidal factor of
-    ``np.linalg.qr(a)``, l = min(m, k), bit for bit, and ``q_times(x)``
-    returns ``q @ x`` for the (m, l) column-orthonormal q and any x with l
-    rows. q stays the product of LAPACK's Householder reflectors
-    ``H_i = I - tau_i v_i v_i^H`` and is applied in compact WY form,
-    ``I - V T V^H`` with ``T^-1 = diag(1 / tau) + striu(V^H V)`` (Joffrain
-    et al. 2006), which costs less than forming q explicitly. A reflector
-    with tau_i = 0 is the identity (the last one of a square or wide input,
-    or one on a zero sub-column): its v_i is zeroed and its diagonal entry
-    of T^-1 set to 1, which leaves the product unchanged.
+
+@functools.cache
+def _compact_wy_routines():
+    """LAPACKE's ``?geqrt`` and ``?gemqrt`` work routines in numpy's bundled
+    OpenBLAS, as ``{dtype: (geqrt, gemqrt)}`` for float64 and complex128;
+    None without that library or with any of the four missing. Bound once
+    per process; the library is ILP64, so every ``lapack_int`` is 64-bit."""
+    lib = _bundled_openblas()
+    if lib is None:
+        return None
+    i64, ptr, char = ctypes.c_int64, ctypes.c_void_p, ctypes.c_char
+    routines = {}
+    for prefix, dtype in (("d", np.float64), ("z", np.complex128)):
+        try:
+            geqrt = getattr(lib, f"scipy_LAPACKE_{prefix}geqrt_work64_")
+            gemqrt = getattr(lib, f"scipy_LAPACKE_{prefix}gemqrt_work64_")
+        except AttributeError:
+            return None
+        # (layout, m, n, nb, a, lda, t, ldt, work)
+        geqrt.argtypes = [ctypes.c_int, i64, i64, i64, ptr, i64, ptr, i64, ptr]
+        # (layout, side, trans, m, n, k, nb, v, ldv, t, ldt, c, ldc, work)
+        gemqrt.argtypes = [ctypes.c_int, char, char, i64, i64, i64, i64,
+                           ptr, i64, ptr, i64, ptr, i64, ptr]
+        geqrt.restype = gemqrt.restype = i64
+        routines[np.dtype(dtype)] = geqrt, gemqrt
+    return routines
+
+
+def _lapack(routine, *args):
+    info = routine(_COL_MAJOR, *args)
+    if info:
+        raise RuntimeError(f"{routine.__name__} returned info = {info}")
+
+
+def _householder_qr(a):
+    """Thin QR ``a = q @ r`` of an (m, k) float64 or complex128 matrix with
+    q never formed.
+
+    Returns ``(r, q_times)``: r is the (l, k) upper trapezoidal factor,
+    l = min(m, k), and ``q_times(x)`` returns ``q @ x`` for the (m, l)
+    column-orthonormal q and any x with l rows. q stays the product of the
+    Householder reflectors ``H_i = I - tau_i v_i v_i^H`` and is applied in
+    compact WY form, ``I - V T V^H`` (Joffrain et al. 2006), which costs
+    less than forming it.
+
+    LAPACK's ``?geqrt`` factors a column-major copy of a in blocks of
+    QR_BLOCK columns, each panel by recursion (Elmroth & Gustavson 2000),
+    and keeps one triangular T per block; ``?gemqrt`` applies the blocks to
+    a zero-padded (m, cols) copy of x in place. Both run on numpy's bundled
+    OpenBLAS, under its thread count. r then matches ``np.linalg.qr(a)`` to
+    rounding: both use ``?larfg``'s reflectors, with the same signs. Where
+    those routines are not available, ``_householder_qr_numpy`` runs
+    instead, and r is numpy's bit for bit.
+    """
+    routines = _compact_wy_routines()
+    if routines is None or a.dtype not in routines or not min(a.shape):
+        return _householder_qr_numpy(a)
+    geqrt, gemqrt = routines[a.dtype]
+    m, k = a.shape
+    l = min(m, k)
+    nb = min(QR_BLOCK, l)
+    # reflectors below the diagonal, r on and above it
+    h = np.array(a, order="F")
+    t = np.zeros((nb, l), dtype=h.dtype, order="F")
+    # every array LAPACK writes is numpy's, and held for the whole call
+    work = np.empty(nb * k, dtype=h.dtype)
+    _lapack(geqrt, m, k, nb, h.ctypes.data, m, t.ctypes.data, nb, work.ctypes.data)
+    r = np.triu(h[:l])
+
+    def apply(x):
+        cols = x.shape[1]
+        out = np.zeros((m, cols), dtype=h.dtype, order="F")
+        out[:l] = x
+        if cols:
+            work = np.empty(cols * nb, dtype=h.dtype)
+            _lapack(gemqrt, b"L", b"N", m, cols, l, nb, h.ctypes.data, m, t.ctypes.data, nb,
+                    out.ctypes.data, m, work.ctypes.data)
+        return out
+
+    # q_times never refers to itself: a reference cycle would hold the
+    # reflectors until the next garbage collection
+    def q_times(x):
+        if x.dtype.kind == "c" and h.dtype.kind != "c":
+            # a real q applies to the real and imaginary parts apart
+            return apply(x.real) + 1j * apply(x.imag)
+        return apply(x)
+
+    return r, q_times
+
+
+def _householder_qr_numpy(a):
+    """``_householder_qr`` through ``np.linalg.qr``: r is numpy's R bit for
+    bit, and q is applied from LAPACK's reflectors with the compact WY
+    factor rebuilt from them, ``T^-1 = diag(1 / tau) + striu(V^H V)``. A
+    reflector with tau_i = 0 is the identity (the last one of a square or
+    wide input, or one on a zero sub-column): its v_i is zeroed and its
+    diagonal entry of T^-1 set to 1, which leaves the product unchanged.
     """
     m, k = a.shape
     l = min(m, k)
@@ -541,12 +665,15 @@ def _householder_qr(a):
 
 
 def lr_recompress(u, v, tol):
-    """SVD re-compression of a low-rank product ``u @ v`` at tolerance ``tol``.
+    """SVD re-compression of a low-rank product ``u @ v`` at tolerance
+    ``tol`` in (0, 1).
 
-    Computes thin Householder QRs of u and v^T and a truncated SVD of the
-    small core product, then applies the two Q factors to the core's
-    singular vectors from their reflectors, never forming them; never
-    increases the rank beyond the inner dimension.
+    Computes thin Householder QRs of u and v^T (``_householder_qr``:
+    LAPACK's blocked ``?geqrt`` where numpy bundles OpenBLAS) and a
+    truncated SVD of the small core product, then applies the two Q factors
+    to the core's singular vectors from their reflectors (``?gemqrt``),
+    never forming them; never increases the rank beyond the inner
+    dimension.
 
     Working memory is the two reflector sets, one the size of each input
     factor, plus the outputs: v^T is factored as it is, and the conjugation
@@ -554,6 +681,7 @@ def lr_recompress(u, v, tol):
     u is formed and its reflectors dropped before vt is formed, and no
     full-size output is conjugated.
     """
+    _check_tol(tol)
     u = checked_matrix(u, "u")
     v = checked_matrix(v, "v")
     if u.shape[1] != v.shape[0]:

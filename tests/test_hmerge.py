@@ -81,6 +81,7 @@ def rank_zero_block(m, n, row_node, col_node):
     )
 
 
+@pytest.mark.usefixtures("qr_path")
 class TestHorizontalMerge:
     def test_rank_zero_right(self):
         rng = make_rng(1)
@@ -138,6 +139,7 @@ class TestHorizontalMerge:
             merge_pair_horizontal(left, not_sibling, 1e-8)
 
 
+@pytest.mark.usefixtures("qr_path")
 class TestVerticalMerge:
     def test_rank_zero_bottom(self):
         rng = make_rng(4)
@@ -272,6 +274,7 @@ def merge_pair(case, kind, direction, seed=7):
     return first, second, np.vstack([first.svd.matrix(), second.svd.matrix()])
 
 
+@pytest.mark.usefixtures("qr_path")
 class TestMergeAgainstDense:
     @pytest.mark.parametrize("kind", ["real", "complex"])
     @pytest.mark.parametrize("direction", ["horizontal", "vertical"])
@@ -547,6 +550,7 @@ def _level_by_level(leaves, tol):
 
 
 class TestDepthFirstMerges:
+    @pytest.mark.usefixtures("qr_path")
     @pytest.mark.parametrize("case", ["prodrand-uneven", "hankel-complex"])
     def test_equal_to_level_by_level_merges(self, monkeypatch, case):
         if case == "prodrand-uneven":

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -484,6 +487,34 @@ class TestTruncatedSVD:
         assert epsilon_rank(np.array([1.0, 0.5, 0.5 - 1e-12]), 0.5) == 2
 
 
+_TOL_ENTRIES = {
+    "epsilon_rank": lambda tol: epsilon_rank(np.ones(3), tol),
+    "truncated_svd": lambda tol: truncated_svd(np.eye(4), tol),
+    "lr_recompress": lambda tol: lr_recompress(np.eye(4), np.eye(4), tol),
+    "qrcp": lambda tol: qrcp(np.eye(4), tol=tol),
+}
+
+
+class TestToleranceRange:
+    @pytest.mark.parametrize("tol", [0.0, 1.0, 2.0, -1.0, np.nan])
+    @pytest.mark.parametrize("entry", sorted(_TOL_ENTRIES))
+    def test_rejected_before_any_factorization(self, entry, tol, monkeypatch):
+        # a tol of 1 or more used to give rank 0, and a negative or NaN one
+        # every column, without a word
+        def factorization(*args, **kwargs):
+            raise AssertionError(f"{entry} factored with tol = {tol}")
+
+        monkeypatch.setattr(np.linalg, "svd", factorization)
+        monkeypatch.setattr(linalg_mod, "_householder_qr", factorization)
+        monkeypatch.setattr(linalg_mod, "_qrcp_stack", factorization)
+        with pytest.raises(ValueError, match="tol must be in"):
+            _TOL_ENTRIES[entry](tol)
+
+    @pytest.mark.parametrize("entry", sorted(_TOL_ENTRIES))
+    def test_accepted_inside(self, entry):
+        _TOL_ENTRIES[entry](0.5)
+
+
 def _assert_empty_svd(res, m, n, dtype):
     # the factors an empty input has always given: (m, 0) and (0, n) in the
     # working dtype, C-contiguous, and an empty float64 sigma
@@ -809,22 +840,50 @@ def _qr_input(case, complex_):
         return draw((1, 4))
     if case == "zero":
         return np.zeros((6, 3), dtype=np.complex128 if complex_ else np.float64)
+    # shapes over several QR_BLOCK-column blocks
+    if case == "blocks_33":
+        return draw((100, 33))
+    if case == "blocks_64":
+        return draw((300, 64))
+    if case == "blocks_144":
+        return draw((512, 144))
+    if case == "blocks_wide":
+        return draw((40, 100))
+    if case == "zero_column_40":
+        # tau = 0 inside the second block
+        a = draw((100, 50))
+        a[:, 40] = 0.0
+        return a
     return draw((8, 0))
 
 
 class TestHouseholderQR:
     CASES = ["tall", "square", "zero_columns", "rank_deficient", "wide",
-             "one_column", "one_row", "zero", "no_columns"]
+             "one_column", "one_row", "zero", "no_columns", "blocks_33", "blocks_64",
+             "blocks_144", "blocks_wide", "zero_column_40"]
 
     @pytest.mark.parametrize("complex_", [False, True])
     @pytest.mark.parametrize("case", CASES)
-    def test_matches_explicit_qr(self, case, complex_):
+    def test_matches_explicit_qr(self, qr_path, case, complex_):
         a = _qr_input(case, complex_)
         q, r = np.linalg.qr(a)
         got_r, q_times = _householder_qr(a)
-        # R straight from the same LAPACK factorization
         assert got_r.shape == r.shape
-        assert np.array_equal(got_r, r)
+        eye = np.eye(r.shape[0])
+        got_q = q_times(eye)
+        if qr_path == "numpy":
+            # R straight from the same LAPACK factorization, and its q
+            assert np.array_equal(got_r, r)
+            np.testing.assert_allclose(got_q, q, rtol=0.0, atol=1e-13)
+        else:
+            # ?geqrt's R is numpy's (?geqrf's) to rounding: both take
+            # ?larfg's reflectors, signs included. Past a dependent column
+            # (column 3 of rank_deficient) a reflector follows rounding
+            # noise, so only the rows before it are unique.
+            assert np.array_equal(got_r, np.triu(got_r))
+            unique = 3 if case == "rank_deficient" else r.shape[0]
+            assert np.linalg.norm(got_r[:unique] - r[:unique]) <= 1e-13 * np.linalg.norm(a)
+        np.testing.assert_allclose(got_q.conj().T @ got_q, eye, rtol=0.0, atol=1e-13)
         rng = make_rng(82)
         for cols in (0, 1, 5):
             x = rng.standard_normal((r.shape[0], cols))
@@ -832,14 +891,12 @@ class TestHouseholderQR:
                 x = x + 1j * rng.standard_normal(x.shape)
             got = q_times(x)
             assert got.shape == (a.shape[0], cols)
-            np.testing.assert_allclose(got, q @ x, rtol=0.0, atol=1e-13)
-        # q itself, as q times the identity, and q r back to a
-        eye = np.eye(r.shape[0])
-        np.testing.assert_allclose(q_times(eye), q, rtol=0.0, atol=1e-13)
+            np.testing.assert_allclose(got, (q if qr_path == "numpy" else got_q) @ x,
+                                       rtol=0.0, atol=1e-13)
         if a.size:
             assert rel_fro(q_times(got_r), a) <= 1e-13
 
-    def test_square_input_ends_in_an_identity_reflector(self):
+    def test_square_input_ends_in_an_identity_reflector(self, qr_path):
         # the last reflector of a square input has tau = 0: it must drop out
         a = _qr_input("square", False)
         _, tau = np.linalg.qr(a, mode="raw")
@@ -848,13 +905,39 @@ class TestHouseholderQR:
         q = q_times(np.eye(7))
         np.testing.assert_allclose(q.T @ q, np.eye(7), rtol=0.0, atol=1e-14)
 
-    def test_leaves_input_alone(self):
+    def test_leaves_input_alone(self, qr_path):
         a = _qr_input("tall", True)
         before = a.copy()
         _householder_qr(a)[1](np.ones((9, 2)))
         assert np.array_equal(a, before)
 
+    def test_real_q_times_complex(self, qr_path):
+        a = _qr_input("blocks_64", False)
+        x = make_rng(83).standard_normal((64, 6)) * (1.0 - 2.0j)
+        _, q_times = _householder_qr(a)
+        got = q_times(x)
+        assert got.dtype == np.complex128
+        np.testing.assert_allclose(got, q_times(np.eye(64)) @ x, rtol=0.0, atol=1e-13)
 
+    def test_reflectors_freed_without_the_collector(self, qr_path):
+        # a reference cycle through q_times would hold the reflectors, the
+        # size of the input, until the next garbage collection
+        a = _qr_input("blocks_144", False)
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            r, q_times = _householder_qr(a)
+            q_times(np.ones((144, 2)))
+            del r, q_times
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert held < a.nbytes / 10
+
+
+@pytest.mark.usefixtures("qr_path")
 class TestLrRecompress:
     def test_duplicated_column(self):
         rng = make_rng(17)
