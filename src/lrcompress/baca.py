@@ -87,6 +87,14 @@ def select_pivot_blocks(oracle, u, v, col_block, used_rows, used_cols, d):
         Selected row indices, next iteration's column indices, residual
         columns c (m x |J|), residual rows r (|I| x n) and the intersection
         w = c[rows] (|I| x |J|).
+
+    Notes
+    -----
+    The sweeps never call this: they run ``_select_stack`` over all their
+    sweeps at once. It stays as public API, exported from ``lrcompress``,
+    as the one-sweep form of that stacked step that ``tests/test_baca.py``
+    drives, and perfbench's tracer patches it by name and would raise
+    without it.
     """
     cols = np.asarray(col_block, dtype=np.intp)
     rows, next_cols, ct, r, w, ki, kj = _select_stack(
@@ -158,6 +166,12 @@ def lrid(c, w, r, tol):
     leading triangular block. A 1 x 1 intersection gives ``u_k = c`` and
     ``v_k = r / w`` exactly. Returns (u_k, v_k, d_k, jbar) where jbar are
     the retained pivot positions within the column block.
+
+    The sweeps never call this: they run ``_lrid_stack`` over all their
+    sweeps at once. It stays as public API, exported from ``lrcompress``,
+    as the one-sweep form of that stacked step that ``tests/test_baca.py``
+    drives, and perfbench's tracer patches it by name and would raise
+    without it.
     """
     w = checked_matrix(w, "w")
     ki, kj = w.shape

@@ -666,13 +666,12 @@ def _householder_qr_numpy(a):
 
 def lr_recompress(u, v, tol):
     """SVD re-compression of a low-rank product ``u @ v`` at tolerance
-    ``tol`` in (0, 1).
-
-    Computes thin Householder QRs of u and v^T (``_householder_qr``:
-    LAPACK's blocked ``?geqrt`` where numpy bundles OpenBLAS) and a
-    truncated SVD of the small core product, then applies the two Q factors
-    to the core's singular vectors from their reflectors (``?gemqrt``),
-    never forming them; never increases the rank beyond the inner
+    ``tol`` in (0, 1), for checked inputs: the one-block case of
+    ``_recompress_side_by_side``, the kernel every H-BACA merge runs too.
+    Thin Householder QRs of u and v^T (LAPACK's blocked ``?geqrt`` where
+    numpy bundles OpenBLAS), a truncated SVD of the small core product,
+    and the two Q factors applied to its singular vectors from their
+    reflectors, never formed; never increases the rank beyond the inner
     dimension.
 
     Working memory is the two reflector sets, one the size of each input
@@ -686,31 +685,52 @@ def lr_recompress(u, v, tol):
     v = checked_matrix(v, "v")
     if u.shape[1] != v.shape[0]:
         raise ValueError(f"inner dimensions disagree: {u.shape} vs {v.shape}")
-    return _recompress_side_by_side(u, [v], tol)
+    return _recompress_side_by_side([LowRankFactors(u, v)], tol)
 
 
-def _recompress_side_by_side(u, vs, tol):
-    """Truncated SVD at ``tol`` of the low-rank blocks ``u_i @ vs[i]`` side
-    by side, ``u @ blockdiag(*vs)``, where u_i are the columns of ``u``
-    matching the rows of ``vs[i]``; ``lr_recompress`` is the case of one
-    block, for checked inputs.
+def _recompress_side_by_side(blocks, tol):
+    """Truncated SVD at ``tol`` of blocks side by side over the same rows,
+    ``[A_1, A_2, ...]``: the one recompression kernel, of ``lr_recompress``
+    and of every H-BACA merge.
 
-    One Householder QR of u and one of each v_i^T: the core is
-    ``[R_u[:, i] R_i^T]`` over the blocks i, of R_u's rows by the summed
-    ranks of the R_i, and each block of its right singular vectors gets its
-    own v_i's Q. A block may hold more rank than it has rows or columns,
-    and together more than u has rows; every R then has the smaller side.
+    A block is raw factors (``LowRankFactors``, A_i = u_i v_i) or an SVD
+    (``TruncatedSVD``, A_i = u_i diag(sigma_i) vt_i). One Householder QR
+    (``_householder_qr``) factors the stacked ``[u_1, u_2, ...] = Q_u R_u``.
+    A raw block's v_i^T gets a QR of its own, v_i^T = Q_i R_i; an SVD
+    block's vt_i is already orthonormal and gets none, as if R_i^T were
+    diag(sigma_i) and Q_i^T vt_i. Only the small core ``[R_u[:, i] R_i^T]``
+    over the blocks i is decomposed and truncated. Q_u is applied to the
+    core's left singular vectors from its reflectors, and each block of its
+    right singular vectors picks up its Q_i^T. A block may hold more rank
+    than it has rows or columns, and together more than u has rows; every R
+    then has the smaller side.
     """
+    # ?geqrt copies its input column-major: stacking the u_i that way makes
+    # that copy a plain one, and one block's u needs no stacking copy at all
+    tu, qu_times = _householder_qr(
+        blocks[0].u if len(blocks) == 1 else np.concatenate([b.u.T for b in blocks]).T)
     # v^T = conj(Q_v) conj(R_v) for the QR v^H = Q_v R_v, so R_v^H = tv.T
     # and vt = core.vt Q_v^H = (conj(Q_v) core.vt^T)^T
-    tu, qu_times = _householder_qr(u)
-    tvs = [_householder_qr(v.T) for v in vs]
-    inner = np.cumsum([0] + [v.shape[0] for v in vs])
-    core = truncated_svd(np.hstack([tu[:, lo:hi] @ tv.T for (tv, _), lo, hi
-                                    in zip(tvs, inner, inner[1:])]), tol)
+    inner = np.cumsum([0] + [b.rank for b in blocks])
+    # per block: its columns of the core, and its vt or its v^T's Q applier
+    cols, rights = [], []
+    for b, lo, hi in zip(blocks, inner, inner[1:]):
+        if isinstance(b, TruncatedSVD):
+            cols.append(tu[:, lo:hi] * b.sigma)
+            rights.append(b.vt)
+        else:
+            tv, qv_times = _householder_qr(b.v.T)
+            cols.append(tu[:, lo:hi] @ tv.T)
+            rights.append(qv_times)
+    outer = np.cumsum([0] + [c.shape[1] for c in cols])
+    # the pieces go before the SVD: held through it, they raised the peak
+    # RSS of the baca-hankel benchmark from 222 to 237 MB (2-vCPU host),
+    # though not its traced peak
+    core = np.hstack(cols)
+    del cols
+    core = truncated_svd(core, tol)
     u = qu_times(core.u)
     del qu_times
-    outer = np.cumsum([0] + [tv.shape[0] for tv, _ in tvs])
-    vt = [qv_times(core.vt[:, lo:hi].T).T for (_, qv_times), lo, hi
-          in zip(tvs, outer, outer[1:])]
+    vt = [right(core.vt[:, lo:hi].T).T if callable(right) else core.vt[:, lo:hi] @ right
+          for right, lo, hi in zip(rights, outer, outer[1:])]
     return TruncatedSVD(u=u, sigma=core.sigma, vt=vt[0] if len(vt) == 1 else np.hstack(vt))

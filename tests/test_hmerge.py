@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import lrcompress.hmerge as hmerge_mod
+import lrcompress.linalg as linalg_mod
 from helpers import conj_transposed, random_factors, rel_fro, traced_peak
 from lrcompress.aca import DEGENERATE
 from lrcompress.baca import BacaConfig, baca_compress
@@ -29,7 +30,7 @@ from lrcompress.kernels import (
     product_of_random_oracle,
     strip_cloud,
 )
-from lrcompress.linalg import TruncatedSVD, truncated_svd
+from lrcompress.linalg import LowRankFactors, TruncatedSVD, lr_recompress, truncated_svd
 from lrcompress.seeding import make_rng
 
 
@@ -248,7 +249,22 @@ MERGE_CASES = {
     "second_rank_zero": (30, 6, 0),
     "both_ranks_zero": (30, 0, 0),
     "second_basis_inside_first": (30, 6, 4),
+    "second_basis_nearly_inside_first": (30, 6, 4),
 }
+
+
+def counted_qr_shapes(monkeypatch):
+    """The shapes of the matrices given to the Householder QR from here on,
+    in call order."""
+    shapes = []
+    qr = linalg_mod._householder_qr
+
+    def counting(a):
+        shapes.append(a.shape)
+        return qr(a)
+
+    monkeypatch.setattr(linalg_mod, "_householder_qr", counting)
+    return shapes
 
 
 def merge_pair(case, kind, direction, seed=7):
@@ -258,11 +274,15 @@ def merge_pair(case, kind, direction, seed=7):
     shared, ra, rb = MERGE_CASES[case]
     rng = make_rng(seed)
     a = random_svd(rng, shared, 12, ra, kind)
-    if case == "second_basis_inside_first":
-        # b's basis lies in the span of a's: the remainder is round-off
+    if case.startswith("second_basis_"):
+        # b's basis lies in the span of a's, so the remainder is round-off;
+        # or nearly so, with a real remainder 1e-7 the size of the rest
         mix = np.linalg.qr(rng.standard_normal((ra, rb)))[0]
         b = random_svd(rng, shared, 15, rb, kind)
-        b = TruncatedSVD(u=np.ascontiguousarray(a.u @ mix), sigma=b.sigma, vt=b.vt)
+        u = a.u @ mix
+        if case == "second_basis_nearly_inside_first":
+            u = np.linalg.qr(u + 1e-7 * random_svd(rng, shared, rb, rb, kind).u)[0]
+        b = TruncatedSVD(u=np.ascontiguousarray(u), sigma=b.sigma, vt=b.vt)
     else:
         b = random_svd(rng, shared, 15, rb, kind)
     if direction == "horizontal":
@@ -301,6 +321,8 @@ class TestMergeAgainstDense:
         expected_rank = int(np.sum(sigma >= 1e-10 * sigma[0]))
         if case == "second_basis_inside_first":
             assert expected_rank == first.rank
+        if case == "second_basis_nearly_inside_first":
+            assert expected_rank == first.rank + second.rank
         assert out.rank == expected_rank
         assert np.all(np.diff(out.sigma) <= 0.0)
         assert np.abs(out.sigma - sigma[: out.rank]).max() <= 1e-12 * sigma[0]
@@ -322,6 +344,15 @@ class TestMergeAgainstDense:
         assert np.array_equal(vertical.u, horizontal.vt.T)
         assert np.array_equal(vertical.sigma, horizontal.sigma)
         assert np.array_equal(vertical.vt, horizontal.u.T)
+
+    @pytest.mark.parametrize("direction", ["horizontal", "vertical"])
+    def test_one_qr_of_the_stacked_bases(self, monkeypatch, direction):
+        # the blocks' bases on the other side are already orthonormal
+        first, second, _ = merge_pair("unequal_ranks", "complex", direction)
+        merge = merge_pair_horizontal if direction == "horizontal" else merge_pair_vertical
+        shapes = counted_qr_shapes(monkeypatch)
+        merge(first, second, 1e-10)
+        assert shapes == [(40, 3 + 7)]
 
     def test_repeat_merges_are_bitwise_identical(self):
         first, second, _ = merge_pair("unequal_ranks", "complex", "horizontal")
@@ -547,6 +578,20 @@ def _level_by_level(leaves, tol):
         ranks.update(((level, i, j), b.rank) for i, row in enumerate(grid)
                      for j, b in enumerate(row))
     return grid[0][0].svd, ranks
+
+
+class TestRawFactorQRs:
+    def test_leaf_pair_factors_the_stacked_u_and_each_v(self, monkeypatch):
+        (ua, va), (ub, vb) = random_factors(20, 20, 11, 3), random_factors(21, 20, 9, 4)
+        shapes = counted_qr_shapes(monkeypatch)
+        hmerge_mod._merge_leaf_pair(LowRankFactors(ua, va), LowRankFactors(ub, vb), 1e-10)
+        assert shapes == [(20, 3 + 4), (11, 3), (9, 4)]
+
+    def test_lr_recompress_factors_u_and_v(self, monkeypatch):
+        u, v = random_factors(22, 20, 11, 3)
+        shapes = counted_qr_shapes(monkeypatch)
+        lr_recompress(u, v, 1e-10)
+        assert shapes == [(20, 3), (11, 3)]
 
 
 class TestDepthFirstMerges:
