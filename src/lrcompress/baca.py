@@ -272,6 +272,8 @@ def lockstep_factors(oracles, configs):
     (LowRankFactors, ConvergenceHistory) in oracle order, each sweep's
     accumulated cross factors ``u @ v`` as views of its factor buffers,
     for callers that truncate them together with other blocks."""
+    if len(oracles) != len(configs):
+        raise ValueError(f"{len(oracles)} oracles but {len(configs)} configs")
     if len({working_dtype(o.dtype) for o in oracles}) > 1:
         raise ValueError("a lockstep group must be all real or all complex")
     sweeps = [_Sweep(o, config) for o, config in zip(oracles, configs)]

@@ -186,6 +186,8 @@ def run_job(config):
         raise UsageError(f"unknown algorithm {config.algorithm!r}")
     if config.algorithm != "hbaca" and config.n_blocks != 1:
         raise UsageError("--nb applies to the hbaca algorithm only")
+    if config.algorithm != "hbaca" and config.workers != 1:
+        raise UsageError("--workers applies to the hbaca algorithm only")
     if config.history_out and config.algorithm == "hbaca":
         raise UsageError(
             "--history-out is only meaningful for aca/baca (hierarchical runs "

@@ -7,10 +7,13 @@ cross approximation), then for each level the sibling blocks are merged
 horizontally and vertically, never through the dense blocks. Every merge
 runs through one kernel, ``linalg._recompress_side_by_side``: one
 Householder QR of the two blocks' stacked bases on the shared side, and a
-truncated SVD of the small core only. No leaf is truncated on its own: the
-first horizontal merge takes the raw cross factors of two leaves, and each
-v^T gets a QR of its own. Every later merge takes two SVDs, whose bases on
-the other side are already orthonormal and need no QR.
+truncated SVD of the small core only. No leaf is truncated on its own: a
+leaf enters the merge walk as a block holding its raw cross factors, and
+``merge_pair_horizontal`` takes two such leaves as it takes two SVD
+blocks, giving each raw v^T a QR of its own. Every merge above the leaves
+takes two SVDs, whose bases on the other side are already orthonormal and
+need no QR; ``merge_pair_vertical`` takes SVD blocks only, since raw
+leaves are always merged horizontally first.
 
 A task is one tile of 2^t x 2^t leaves, t = ceil(L / 2): its leaves are
 compressed in lockstep (``lockstep_factors``) as one group and merged up
@@ -38,7 +41,7 @@ import numpy as np
 
 from .aca import DEGENERATE, _checked_index
 from .baca import baca_compress, lockstep_factors
-from .linalg import TruncatedSVD, _bundled_openblas, _recompress_side_by_side
+from .linalg import LowRankFactors, TruncatedSVD, _bundled_openblas, _recompress_side_by_side
 
 # truncated_svd stays importable from this module, where perfbench's tracer
 # patches it; the merges reach it through _recompress_side_by_side
@@ -94,23 +97,18 @@ def build_index_tree(extent, levels):
 
 @dataclass(frozen=True)
 class BlockSVD:
-    """Truncated SVD of one block, tagged with its (level, index) row and
-    column tree nodes."""
+    """One block of the merge walk, tagged with its (level, index) row and
+    column tree nodes. ``svd`` is a ``TruncatedSVD``, or for a leaf its raw
+    cross factors (``LowRankFactors``, ``u @ v``), which no merge but
+    ``merge_pair_horizontal`` takes."""
 
     row_node: tuple
     col_node: tuple
-    svd: TruncatedSVD
+    svd: TruncatedSVD | LowRankFactors
 
     @property
     def rank(self):
         return self.svd.rank
-
-
-def _merge_leaf_pair(left, right, tol):
-    """Truncated SVD of ``[A, B]`` from the raw cross factors (LowRankFactors
-    ``u @ v``) of two side-by-side leaves, neither truncated on its own:
-    ``[A, B] = [u_a, u_b] blockdiag(v_a, v_b)``, recompressed as a whole."""
-    return _recompress_side_by_side([left, right], tol)
 
 
 def merge_pair_horizontal(left, right, tol):
@@ -118,7 +116,9 @@ def merge_pair_horizontal(left, right, tol):
     parent: one Householder QR of the stacked row bases ``[U_1, U_2]``,
     then only the small core ``R blockdiag(S_1, S_2)`` is decomposed and
     truncated at ``tol`` (``_recompress_side_by_side``), and V picks up the
-    block diagonal of the old column bases."""
+    block diagonal of the old column bases. Either block may be a raw leaf,
+    ``[A, B] = [u_a, u_b] blockdiag(v_a, v_b)``, whose v^T then gets a QR
+    of its own in place of S."""
     if left.row_node != right.row_node:
         raise ValueError("horizontal merge requires a shared row node")
     lvl, li = left.col_node
@@ -135,7 +135,10 @@ def merge_pair_vertical(top, bottom, tol):
     as views since ``A^T = vt^T diag(sigma) u^T`` is already an SVD. The
     stacked column bases get the one QR, U picks up the block diagonal of
     the old row bases, and the result's factors are transposed views of
-    the merged ones, never copies."""
+    the merged ones, never copies. Both blocks must be SVDs: raw leaves
+    are merged horizontally first."""
+    if not (isinstance(top.svd, TruncatedSVD) and isinstance(bottom.svd, TruncatedSVD)):
+        raise ValueError("vertical merge takes SVD blocks; merge raw leaves horizontally first")
     if top.col_node != bottom.col_node:
         raise ValueError("vertical merge requires a shared column node")
     lvl, ti = top.row_node
@@ -168,19 +171,29 @@ def _leaf_record(history, seconds):
 
 @dataclass
 class HBacaDiagnostics:
-    """Per-level maximum block ranks s_l (index 0 = leaves), per-block ranks
-    keyed by (level, row index, col index), leaf blocks that terminated
-    degenerate, one ``LeafRecord`` per leaf keyed by (row index, col
-    index), and the wall-clock split between the two phases. A leaf's rank
-    is the rank it hands to the first merge: its cross rank, or the
-    truncated rank of the n_blocks = 1 passthrough."""
+    """Per-block ranks keyed by (level, row index, col index), one
+    ``LeafRecord`` per leaf keyed by (row index, col index), and the
+    wall-clock split between the two phases. A leaf's rank is the rank it
+    hands to the first merge: its cross rank, or the truncated rank of the
+    n_blocks = 1 passthrough. ``level_max_rank`` and ``degenerate_blocks``
+    are derived from the ranks and the leaves."""
 
-    level_max_rank: list = field(default_factory=list)
     block_ranks: dict = field(default_factory=dict)
-    degenerate_blocks: list = field(default_factory=list)
     leaves: dict = field(default_factory=dict)
     leaf_seconds: float = 0.0
     merge_seconds: float = 0.0
+
+    @property
+    def level_max_rank(self):
+        """Maximum block rank s_l per level l, index 0 = leaves."""
+        return [max(rank for (l, _, _), rank in self.block_ranks.items() if l == level)
+                for level in sorted({key[0] for key in self.block_ranks})]
+
+    @property
+    def degenerate_blocks(self):
+        """(row index, col index) of the leaves that terminated degenerate."""
+        return [key for key, record in self.leaves.items()
+                if record.termination == DEGENERATE]
 
 
 def _tile_task(oracle, tile, level, row_ranges, col_ranges, configs, tol):
@@ -204,7 +217,7 @@ def _tile_task(oracle, tile, level, row_ranges, col_ranges, configs, tol):
     blocks, records, ranks = {}, {}, {}
     for k, (factors, history) in enumerate(results):
         i, j = tile[0] * span + k // span, tile[1] * span + k % span
-        blocks[0, i, j] = factors
+        blocks[0, i, j] = BlockSVD((0, i), (0, j), factors)
         records[i, j] = _leaf_record(history, share)
         ranks[0, i, j] = factors.rank
     # from here on the walk holds the only reference to each leaf
@@ -381,12 +394,9 @@ def hbaca_compress(oracle, n_blocks, config, workers=1):
         svd, history = baca_compress(oracle, config)
         seconds = time.perf_counter() - t0
         diag = HBacaDiagnostics(
-            level_max_rank=[svd.rank],
             block_ranks={(0, 0, 0): svd.rank},
-            degenerate_blocks=[(0, 0)] if history.termination == DEGENERATE else [],
             leaves={(0, 0): _leaf_record(history, seconds)},
             leaf_seconds=seconds,
-            merge_seconds=0.0,
         )
         return svd, diag
 
@@ -421,8 +431,6 @@ def hbaca_compress(oracle, n_blocks, config, workers=1):
         # from here on the walk holds the only reference to each tile root
         del results, root
         diag.leaves = dict(sorted(diag.leaves.items()))
-        diag.degenerate_blocks = [key for key, record in diag.leaves.items()
-                                  if record.termination == DEGENERATE]
         leaf_s = sum(record.seconds for record in diag.leaves.values())
         # tasks that overlapped on a pool share its wall time
         scale = 1.0 if leaf_s + merge_s <= wall else wall / (leaf_s + merge_s)
@@ -434,20 +442,16 @@ def hbaca_compress(oracle, n_blocks, config, workers=1):
 
     # the walk records ranks depth first; list them level by level, row by row
     diag.block_ranks = dict(sorted(diag.block_ranks.items()))
-    for level in range(levels + 1):
-        diag.level_max_rank.append(
-            max(rank for (l, _, _), rank in diag.block_ranks.items() if l == level))
     return root.svd, diag
 
 
 def _merge_subtree(blocks, level, i, j, tol, ranks):
-    """Block (i, j) of ``level``, merged depth first from the blocks under
-    it in ``blocks``, a dict keyed by (level, i, j) whose level-0 entries
-    are raw leaf factors (LowRankFactors) and the others BlockSVDs.
+    """Block (i, j) of ``level``, merged depth first from the BlockSVDs
+    under it in ``blocks``, a dict keyed by (level, i, j) whose level-0
+    entries hold raw leaf factors.
 
     The top pair of children is merged horizontally as soon as both exist,
-    then the bottom pair, then the two halves vertically; at level 1 the
-    horizontal merges take the raw leaves (``_merge_leaf_pair``). Each
+    then the bottom pair, then the two halves vertically. Each
     block is taken out of ``blocks``, and each child released once merged,
     so the walk holds the unmerged blocks plus at most one partial
     root-to-leaf path. Merged blocks' ranks are recorded in ``ranks`` under
@@ -460,10 +464,7 @@ def _merge_subtree(blocks, level, i, j, tol, ranks):
     for row in (2 * i, 2 * i + 1):
         left = _merge_subtree(blocks, level - 1, row, 2 * j, tol, ranks)
         right = _merge_subtree(blocks, level - 1, row, 2 * j + 1, tol, ranks)
-        if level == 1:
-            halves.append(BlockSVD((0, row), (1, j), _merge_leaf_pair(left, right, tol)))
-        else:
-            halves.append(merge_pair_horizontal(left, right, tol))
+        halves.append(merge_pair_horizontal(left, right, tol))
         del left, right
     block = merge_pair_vertical(*halves, tol)
     ranks[level, i, j] = block.rank

@@ -17,6 +17,7 @@ from lrcompress.baca import (
     BacaConfig,
     baca_compress,
     baca_lockstep,
+    lockstep_factors,
     lrid,
     select_pivot_blocks,
 )
@@ -399,6 +400,16 @@ class TestLockstep:
         cfg = BacaConfig(block_size=3, tol=1e-8, seed=0)
         with pytest.raises(ValueError, match="all real or all complex"):
             baca_lockstep([dense_oracle(real), dense_oracle(complex_)], [cfg, cfg])
+
+    def test_oracle_and_config_counts_must_match(self):
+        # zip would drop the oracles past the last config, without a word
+        cfg = BacaConfig(block_size=3, tol=1e-8, seed=0)
+        oracles = [dense_oracle(exact_rank_matrix(80 + k, 20, 20, 3)) for k in range(2)]
+        for configs in ([cfg], [cfg, cfg, cfg]):
+            with pytest.raises(ValueError, match="oracles but"):
+                lockstep_factors(oracles, configs)
+            with pytest.raises(ValueError, match="oracles but"):
+                baca_lockstep(oracles, configs)
 
     def test_non_finite_residual_raises(self):
         a = exact_rank_matrix(75, 16, 16, 3)

@@ -199,6 +199,18 @@ class TestRunJob:
         with pytest.raises(UsageError):
             run_job(prodrand_job(algorithm="baca", n_blocks=4))
 
+    @pytest.mark.parametrize("algorithm", ["aca", "baca"])
+    @pytest.mark.parametrize("workers", ["0", "2"])
+    def test_worker_count_refused_for_flat_algorithms(self, algorithm, workers, capsys):
+        rc = main([
+            "run", "--kernel", "prodrand", "--n", "64", "--inner-rank", "4",
+            "--algorithm", algorithm, "--workers", workers,
+        ])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--workers applies to the hbaca algorithm only" in captured.err
+
     def test_gaussian_random_cloud_path(self):
         cfg = JobConfig(kernel="gaussian", algorithm="baca", n=64, h=1.0, d=4,
                         tol=1e-4, seed=3, dim=3, verify=True)

@@ -568,11 +568,10 @@ def _level_by_level(leaves, tol):
     while len(grid) > 1:
         level += 1
         if level == 1:
-            half = [[BlockSVD((0, i), (1, j // 2), hmerge_mod._merge_leaf_pair(*row[j:j + 2], tol))
-                     for j in range(0, len(row), 2)] for i, row in enumerate(grid)]
-        else:
-            half = [[merge_pair_horizontal(*row[j:j + 2], tol) for j in range(0, len(row), 2)]
-                    for row in grid]
+            grid = [[BlockSVD((0, i), (0, j), f) for j, f in enumerate(row)]
+                    for i, row in enumerate(grid)]
+        half = [[merge_pair_horizontal(*row[j:j + 2], tol) for j in range(0, len(row), 2)]
+                for row in grid]
         grid = [[merge_pair_vertical(top, bottom, tol) for top, bottom in zip(half[i], half[i + 1])]
                 for i in range(0, len(half), 2)]
         ranks.update(((level, i, j), b.rank) for i, row in enumerate(grid)
@@ -584,7 +583,8 @@ class TestRawFactorQRs:
     def test_leaf_pair_factors_the_stacked_u_and_each_v(self, monkeypatch):
         (ua, va), (ub, vb) = random_factors(20, 20, 11, 3), random_factors(21, 20, 9, 4)
         shapes = counted_qr_shapes(monkeypatch)
-        hmerge_mod._merge_leaf_pair(LowRankFactors(ua, va), LowRankFactors(ub, vb), 1e-10)
+        merge_pair_horizontal(BlockSVD((0, 0), (0, 0), LowRankFactors(ua, va)),
+                              BlockSVD((0, 0), (0, 1), LowRankFactors(ub, vb)), 1e-10)
         assert shapes == [(20, 3 + 4), (11, 3), (9, 4)]
 
     def test_lr_recompress_factors_u_and_v(self, monkeypatch):
@@ -592,6 +592,42 @@ class TestRawFactorQRs:
         shapes = counted_qr_shapes(monkeypatch)
         lr_recompress(u, v, 1e-10)
         assert shapes == [(20, 3), (11, 3)]
+
+
+class TestRawLeafBlocks:
+    def test_vertical_merge_refuses_raw_blocks(self):
+        raw = [BlockSVD((0, i), (0, 0), LowRankFactors(*random_factors(30 + i, 6, 5, 2)))
+               for i in (0, 1)]
+        svd = [rank_zero_block(6, 5, (0, i), (0, 0)) for i in (0, 1)]
+        for top, bottom in ((raw[0], raw[1]), (raw[0], svd[1]), (svd[0], raw[1])):
+            with pytest.raises(ValueError, match="vertical merge takes SVD blocks"):
+                merge_pair_vertical(top, bottom, 1e-8)
+
+    def test_horizontal_merge_refuses_raw_leaves_not_adjacent_siblings(self):
+        def leaf(j):
+            return BlockSVD((0, 0), (0, j), LowRankFactors(*random_factors(40 + j, 6, 5, 2)))
+
+        for left, right in ((0, 2), (1, 2), (1, 0)):
+            with pytest.raises(ValueError, match="adjacent sibling column nodes"):
+                merge_pair_horizontal(leaf(left), leaf(right), 1e-8)
+
+    @pytest.mark.parametrize("n_blocks", [16, 64])
+    def test_every_merge_goes_through_a_public_merge_function(self, monkeypatch, n_blocks):
+        # n_b - 1 merges in all, the leaf pairs' among them: each is one
+        # call to a public merge and one truncated SVD of its core
+        merges, svds = [], []
+        _recording_merges(monkeypatch, lambda: merges.append(1))
+        svd = linalg_mod.truncated_svd
+
+        def counted(*args):
+            svds.append(1)
+            return svd(*args)
+
+        monkeypatch.setattr(linalg_mod, "truncated_svd", counted)
+        oracle = product_of_random_oracle(256, 6, seed=14)
+        hbaca_compress(oracle, n_blocks, BacaConfig(block_size=4, tol=1e-8, seed=2), workers=1)
+        assert len(merges) == n_blocks - 1
+        assert len(svds) == n_blocks - 1
 
 
 class TestDepthFirstMerges:
@@ -731,7 +767,7 @@ def _recording_merges(monkeypatch, record):
     # wraps the merges hbaca_compress looks up as module attributes; the
     # wrappers are closures, which cannot be pickled to a pool worker, and
     # calls in a worker are recorded there, never in the caller
-    for name in ("_merge_leaf_pair", "merge_pair_horizontal", "merge_pair_vertical"):
+    for name in ("merge_pair_horizontal", "merge_pair_vertical"):
         def wrapped(*args, _merge=getattr(hmerge_mod, name)):
             record()
             return _merge(*args)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import conj_transposed
-from lrcompress.hmerge import BlockSVD, _merge_leaf_pair, merge_pair_horizontal, merge_pair_vertical
+from lrcompress.hmerge import BlockSVD, merge_pair_horizontal, merge_pair_vertical
 from lrcompress.linalg import LowRankFactors, TruncatedSVD, truncated_svd
 from lrcompress.seeding import make_rng
 
@@ -123,7 +123,7 @@ def test_raw_leaf_pair_merge_equals_truncating_the_dense_pair(
     a = raw_leaf(rng, rows, n1, k1, r1, complex_)
     b = raw_leaf(rng, rows, n2, k2, r2, complex_)
     dense = np.hstack([a.matrix(), b.matrix()])
-    merged = _merge_leaf_pair(a, b, TOL)
+    merged = merge_pair_horizontal(BlockSVD((0, 0), (0, 0), a), BlockSVD((0, 0), (0, 1), b), TOL).svd
 
     sigma = np.linalg.svd(dense, compute_uv=False)
     scale = sigma[0] if sigma.size else 0.0
