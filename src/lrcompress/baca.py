@@ -36,10 +36,14 @@ from .linalg import (
     LowRankFactors,
     _lr_norms,
     _qrcp_stack,
+    _recompress_side_by_side,
     checked_matrix,
-    lr_recompress,
     working_dtype,
 )
+
+# lr_recompress stays importable from this module, where perfbench's tracer
+# patches it; the sweeps hand their buffers to _recompress_side_by_side
+from .linalg import lr_recompress  # noqa: F401
 
 # qrcp stays importable from this module, where perfbench's tracer patches
 # it; the sweeps call the stacked kernel
@@ -258,20 +262,37 @@ def baca_lockstep(oracles, configs):
     padded stacks. The oracles must be all real or all complex: one stack
     has one dtype, and a real sweep's factors cannot take complex updates.
 
+    The final recompression runs on the sweeps' factor buffers themselves:
+    each sweep's ``u`` and ``v`` are checked finite, as ``lr_recompress``
+    checks its inputs, and handed to the recompression kernel
+    (``linalg._recompress_side_by_side``), which factors them in place and
+    frees u once it has been applied. Nothing here keeps a reference to
+    them, so unlike ``lr_recompress`` the call copies neither factor.
+
     Returns
     -------
     list of (TruncatedSVD, ConvergenceHistory), in oracle order: each
     sweep's cross factors after SVD re-compression at its config.tol.
     """
-    return [(lr_recompress(f.u, f.v, config.tol), history)
-            for (f, history), config in zip(lockstep_factors(oracles, configs), configs)]
+    results = lockstep_factors(oracles, configs)
+    out = []
+    for config in configs:
+        factors, history = results.pop(0)
+        blocks = [LowRankFactors(checked_matrix(factors.u, "u"), checked_matrix(factors.v, "v"))]
+        # the kernel now holds the only reference, so u is freed once applied
+        del factors
+        out.append((_recompress_side_by_side(blocks, config.tol), history))
+    return out
 
 
 def lockstep_factors(oracles, configs):
     """``baca_lockstep`` without the final re-compression: the list of
     (LowRankFactors, ConvergenceHistory) in oracle order, each sweep's
     accumulated cross factors ``u @ v`` as views of its factor buffers,
-    for callers that truncate them together with other blocks."""
+    for callers that truncate them together with other blocks. The list
+    holds the only references to the buffers: ``baca_lockstep`` hands them
+    on to the recompression kernel, which factors them in place, and
+    H-BACA's merges copy the v they factor."""
     if len(oracles) != len(configs):
         raise ValueError(f"{len(oracles)} oracles but {len(configs)} configs")
     if len({working_dtype(o.dtype) for o in oracles}) > 1:

@@ -41,7 +41,13 @@ import numpy as np
 
 from .aca import DEGENERATE, _checked_index
 from .baca import baca_compress, lockstep_factors
-from .linalg import LowRankFactors, TruncatedSVD, _bundled_openblas, _recompress_side_by_side
+from .linalg import (
+    LowRankFactors,
+    TruncatedSVD,
+    _bundled_openblas,
+    _read_only,
+    _recompress_side_by_side,
+)
 
 # truncated_svd stays importable from this module, where perfbench's tracer
 # patches it; the merges reach it through _recompress_side_by_side
@@ -118,14 +124,18 @@ def merge_pair_horizontal(left, right, tol):
     truncated at ``tol`` (``_recompress_side_by_side``), and V picks up the
     block diagonal of the old column bases. Either block may be a raw leaf,
     ``[A, B] = [u_a, u_b] blockdiag(v_a, v_b)``, whose v^T then gets a QR
-    of its own in place of S."""
+    of its own in place of S. The kernel factors in place what it may
+    write, so it gets a read-only view of a raw leaf's v, which it copies,
+    and the blocks are never written; the stacked bases are its own."""
     if left.row_node != right.row_node:
         raise ValueError("horizontal merge requires a shared row node")
     lvl, li = left.col_node
     rvl, ri = right.col_node
     if rvl != lvl or ri != li + 1 or li % 2 != 0:
         raise ValueError("horizontal merge requires adjacent sibling column nodes")
-    out = _recompress_side_by_side([left.svd, right.svd], tol)
+    out = _recompress_side_by_side(
+        [LowRankFactors(b.u, _read_only(b.v)) if isinstance(b, LowRankFactors) else b
+         for b in (left.svd, right.svd)], tol)
     return BlockSVD(row_node=left.row_node, col_node=(lvl + 1, li // 2), svd=out)
 
 

@@ -179,9 +179,14 @@ class FactorBuffer:
 
     Storage is preallocated with spare capacity that grows by about 1.5x,
     never beyond min(m, n), so appending one update copies only that update
-    instead of the whole factor pair. ``u`` is kept column-major and ``v``
-    row-major: both views are contiguous, and unused capacity is one
-    untouched tail of each buffer.
+    instead of the whole factor pair. A growth replaces ``u`` and releases
+    the old one before it replaces ``v``, so it holds three buffers at once,
+    not four. ``u`` is kept column-major and ``v`` row-major: both views are
+    contiguous, and unused capacity is one untouched tail of each buffer.
+    So ``u`` and ``v.T`` are the column-major arrays that ``?geqrt``
+    factors: ``baca_lockstep`` hands them to the final recompression, which
+    factors them in place, and H-BACA's merges pass a read-only view of
+    ``v``, which the recompression copies.
     """
 
     def __init__(self, m, n, dtype):
@@ -210,11 +215,13 @@ class FactorBuffer:
             raise ValueError(f"rank {need} exceeds min(m, n) = {self.limit}")
         if need > self.capacity:
             cap = min(self.limit, max(need, self.capacity * 3 // 2, 8))
+            # one factor at a time: the old u is freed before the new v exists
             u = np.empty((self._u.shape[0], cap), dtype=self._u.dtype, order="F")
-            v = np.empty((cap, self._v.shape[1]), dtype=self._v.dtype)
             u[:, : self.rank] = self.u
+            self._u = u
+            v = np.empty((cap, self._v.shape[1]), dtype=self._v.dtype)
             v[: self.rank] = self.v
-            self._u, self._v = u, v
+            self._v = v
         self._u[:, self.rank : need] = u_k
         self._v[self.rank : need] = v_k
         self.rank = need
@@ -584,14 +591,18 @@ def _householder_qr(a):
     compact WY form, ``I - V T V^H`` (Joffrain et al. 2006), which costs
     less than forming it.
 
-    LAPACK's ``?geqrt`` factors a column-major copy of a in blocks of
-    QR_BLOCK columns, each panel by recursion (Elmroth & Gustavson 2000),
-    and keeps one triangular T per block; ``?gemqrt`` applies the blocks to
-    a zero-padded (m, cols) copy of x in place. Both run on numpy's bundled
-    OpenBLAS, under its thread count. r then matches ``np.linalg.qr(a)`` to
-    rounding: both use ``?larfg``'s reflectors, with the same signs. Where
-    those routines are not available, ``_householder_qr_numpy`` runs
-    instead, and r is numpy's bit for bit.
+    The caller hands a over: LAPACK's ``?geqrt`` factors a writeable
+    column-major (F-contiguous) a in place, so that a holds the reflectors
+    from then on, and any other a in a column-major copy. A caller that
+    reads a again passes a copy or a read-only view. ``?geqrt`` factors in
+    blocks of QR_BLOCK columns, each panel by recursion (Elmroth &
+    Gustavson 2000), and keeps one triangular T per block; ``?gemqrt``
+    applies the blocks to a zero-padded (m, cols) copy of x in place. Both
+    run on numpy's bundled OpenBLAS, under its thread count. r then matches
+    ``np.linalg.qr(a)`` to rounding: both use ``?larfg``'s reflectors, with
+    the same signs. Where those routines are not available,
+    ``_householder_qr_numpy`` runs instead, on a copy of a, and r is
+    numpy's bit for bit.
     """
     routines = _compact_wy_routines()
     if routines is None or a.dtype not in routines or not min(a.shape):
@@ -600,8 +611,9 @@ def _householder_qr(a):
     m, k = a.shape
     l = min(m, k)
     nb = min(QR_BLOCK, l)
-    # reflectors below the diagonal, r on and above it
-    h = np.array(a, order="F")
+    # reflectors below the diagonal, r on and above it, in a itself when it
+    # has ?geqrt's layout: the same input, and so the same bits, as a copy
+    h = a if a.flags.f_contiguous and a.flags.writeable else np.array(a, order="F")
     t = np.zeros((nb, l), dtype=h.dtype, order="F")
     # every array LAPACK writes is numpy's, and held for the whole call
     work = np.empty(nb * k, dtype=h.dtype)
@@ -674,24 +686,36 @@ def lr_recompress(u, v, tol):
     reflectors, never formed; never increases the rank beyond the inner
     dimension.
 
-    Working memory is the two reflector sets, one the size of each input
-    factor, plus the outputs: v^T is factored as it is, and the conjugation
-    that v^H would need falls on the small R factor and the core's vectors;
-    u is formed and its reflectors dropped before vt is formed, and no
-    full-size output is conjugated.
+    The caller's u and v are never written. The kernel factors in place
+    what it may write, so it gets read-only views of them and factors
+    column-major copies, which become its two reflector sets; each is made
+    as its QR starts. ``baca_lockstep`` hands its sweep buffers to the
+    kernel instead and copies neither. Working memory is the two copies,
+    one the size of each input factor, plus the outputs: v^T is factored as
+    it is, and the conjugation that v^H would need falls on the small R
+    factor and the core's vectors; u is formed and its reflectors dropped
+    before vt is formed, and no full-size output is conjugated.
     """
     _check_tol(tol)
     u = checked_matrix(u, "u")
     v = checked_matrix(v, "v")
     if u.shape[1] != v.shape[0]:
         raise ValueError(f"inner dimensions disagree: {u.shape} vs {v.shape}")
-    return _recompress_side_by_side([LowRankFactors(u, v)], tol)
+    return _recompress_side_by_side([LowRankFactors(_read_only(u), _read_only(v))], tol)
+
+
+def _read_only(a):
+    """A read-only view of ``a``: handed to the recompression kernel, it is
+    copied where it would have been factored in place."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
 
 def _recompress_side_by_side(blocks, tol):
     """Truncated SVD at ``tol`` of blocks side by side over the same rows,
-    ``[A_1, A_2, ...]``: the one recompression kernel, of ``lr_recompress``
-    and of every H-BACA merge.
+    ``[A_1, A_2, ...]``: the one recompression kernel, of ``lr_recompress``,
+    of ``baca_lockstep`` and of every H-BACA merge.
 
     A block is raw factors (``LowRankFactors``, A_i = u_i v_i) or an SVD
     (``TruncatedSVD``, A_i = u_i diag(sigma_i) vt_i). One Householder QR
@@ -701,27 +725,45 @@ def _recompress_side_by_side(blocks, tol):
     diag(sigma_i) and Q_i^T vt_i. Only the small core ``[R_u[:, i] R_i^T]``
     over the blocks i is decomposed and truncated. Q_u is applied to the
     core's left singular vectors from its reflectors, and each block of its
-    right singular vectors picks up its Q_i^T. A block may hold more rank
-    than it has rows or columns, and together more than u has rows; every R
-    then has the smaller side.
+    right singular vectors picks up its Q_i^T, written into one vt. A block
+    may hold more rank than it has rows or columns, and together more than
+    u has rows; every R then has the smaller side.
+
+    The kernel owns what it is handed, and empties ``blocks``: it factors
+    in place (``_householder_qr``) the stack of u it builds, a lone block's
+    u and each raw block's v^T, wherever they are writeable and
+    column-major, and it drops its last reference to the u reflectors once
+    Q_u has been applied, before vt is formed. An SVD block's vt is only
+    read. So a caller hands over arrays that nothing reads again and keeps
+    no reference of its own, as ``baca_lockstep`` does with its sweep
+    buffers, or passes read-only views, which the kernel copies, as
+    ``lr_recompress`` and ``merge_pair_horizontal`` do.
     """
-    # ?geqrt copies its input column-major: stacking the u_i that way makes
-    # that copy a plain one, and one block's u needs no stacking copy at all
-    tu, qu_times = _householder_qr(
-        blocks[0].u if len(blocks) == 1 else np.concatenate([b.u.T for b in blocks]).T)
+    inner = np.cumsum([0] + [b.rank for b in blocks])
+    ends = np.cumsum([0] + [b.shape[1] for b in blocks])
+    # ?geqrt works on column-major arrays: stacking the u_i that way makes
+    # the stack one, and a lone u is factored as it is handed over
+    u = blocks[0].u if len(blocks) == 1 else np.concatenate([b.u.T for b in blocks]).T
+    # per block: its sigma and vt, or no sigma and its v^T
+    rights = [(b.sigma, b.vt) if isinstance(b, TruncatedSVD) else (None, b.v.T)
+              for b in blocks]
+    blocks.clear()
+    tu, qu_times = _householder_qr(u)
+    del u
     # v^T = conj(Q_v) conj(R_v) for the QR v^H = Q_v R_v, so R_v^H = tv.T
     # and vt = core.vt Q_v^H = (conj(Q_v) core.vt^T)^T
-    inner = np.cumsum([0] + [b.rank for b in blocks])
-    # per block: its columns of the core, and its vt or its v^T's Q applier
-    cols, rights = [], []
-    for b, lo, hi in zip(blocks, inner, inner[1:]):
-        if isinstance(b, TruncatedSVD):
-            cols.append(tu[:, lo:hi] * b.sigma)
-            rights.append(b.vt)
+    cols = []
+    for i, (sigma, right) in enumerate(rights):
+        # from here on: the block's vt, or its v^T's Q applier
+        if sigma is None:
+            tv, rights[i] = _householder_qr(right)
+            cols.append(tu[:, inner[i] : inner[i + 1]] @ tv.T)
         else:
-            tv, qv_times = _householder_qr(b.v.T)
-            cols.append(tu[:, lo:hi] @ tv.T)
-            rights.append(qv_times)
+            cols.append(tu[:, inner[i] : inner[i + 1]] * sigma)
+            rights[i] = right
+    # on the np.linalg.qr path the reflectors are a copy: a v^T handed over
+    # is freed here, as u was above
+    del right
     outer = np.cumsum([0] + [c.shape[1] for c in cols])
     # the pieces go before the SVD: held through it, they raised the peak
     # RSS of the baca-hankel benchmark from 222 to 237 MB (2-vCPU host),
@@ -731,6 +773,19 @@ def _recompress_side_by_side(blocks, tol):
     core = truncated_svd(core, tol)
     u = qu_times(core.u)
     del qu_times
-    vt = [right(core.vt[:, lo:hi].T).T if callable(right) else core.vt[:, lo:hi] @ right
-          for right, lo, hi in zip(rights, outer, outer[1:])]
-    return TruncatedSVD(u=u, sigma=core.sigma, vt=vt[0] if len(vt) == 1 else np.hstack(vt))
+    if len(rights) == 1:
+        # a lone block's piece is the whole vt, kept as it comes
+        right = rights[0]
+        vt = right(core.vt.T).T if callable(right) else core.vt @ right
+        return TruncatedSVD(u=u, sigma=core.sigma, vt=vt)
+    # the blocks' pieces go into one vt: an SVD block's straight from its
+    # product, a raw block's ?gemqrt piece through a copy. core.vt is
+    # complex wherever a raw block's v is.
+    vt = np.empty((core.rank, ends[-1]),
+                  dtype=np.result_type(core.vt, *(r for r in rights if not callable(r))))
+    for right, lo, hi, c0, c1 in zip(rights, outer, outer[1:], ends, ends[1:]):
+        if callable(right):
+            vt[:, c0:c1] = right(core.vt[:, lo:hi].T).T
+        else:
+            np.matmul(core.vt[:, lo:hi], right, out=vt[:, c0:c1])
+    return TruncatedSVD(u=u, sigma=core.sigma, vt=vt)

@@ -587,6 +587,17 @@ class TestRawFactorQRs:
                               BlockSVD((0, 0), (0, 1), LowRankFactors(ub, vb)), 1e-10)
         assert shapes == [(20, 3 + 4), (11, 3), (9, 4)]
 
+    def test_leaf_pair_merge_never_writes_the_leaves(self):
+        # the kernel factors what it may write in place; a raw leaf's v^T is
+        # column-major, and merge_pair_horizontal hands it over read-only
+        leaves = [random_factors(23, 20, 11, 3, complex_=True),
+                  random_factors(24, 20, 9, 4, complex_=True)]
+        before = [(u.copy(), v.copy()) for u, v in leaves]
+        merge_pair_horizontal(*(BlockSVD((0, 0), (0, j), LowRankFactors(u, v))
+                                for j, (u, v) in enumerate(leaves)), 1e-10)
+        for (u, v), (u0, v0) in zip(leaves, before):
+            assert u.tobytes() == u0.tobytes() and v.tobytes() == v0.tobytes()
+
     def test_lr_recompress_factors_u_and_v(self, monkeypatch):
         u, v = random_factors(22, 20, 11, 3)
         shapes = counted_qr_shapes(monkeypatch)

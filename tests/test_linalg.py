@@ -812,6 +812,28 @@ class TestFactorBuffer:
         buf.append(u, v)
         assert buf.u.flags.f_contiguous and buf.v.flags.c_contiguous
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_growth_holds_three_buffers(self, dtype):
+        # u grows and the old u is freed before v grows: never the old and
+        # the new buffers of both factors at once. Traced from before the
+        # old buffers exist, so that freeing them counts.
+        m, n = 1500, 1300
+        u, v = random_factors(19, m, n, 9, complex_=dtype == np.complex128)
+        tracemalloc.start()
+        try:
+            buf = FactorBuffer(m, n, dtype)
+            buf.append(u[:, :8], v[:8])
+            old = buf.capacity
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            buf.append(u[:, 8:], v[8:])
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert buf.capacity > old
+        assert np.array_equal(buf.u, u) and np.array_equal(buf.v, v)
+        assert peak < buf.capacity * (m + n) * np.dtype(dtype).itemsize
+
 
 def _qr_input(case, complex_):
     rng = make_rng(81)
@@ -867,7 +889,9 @@ class TestHouseholderQR:
     def test_matches_explicit_qr(self, qr_path, case, complex_):
         a = _qr_input(case, complex_)
         q, r = np.linalg.qr(a)
-        got_r, q_times = _householder_qr(a)
+        # a copy: a one-column or one-row a is also column-major, which
+        # _householder_qr factors in place, and a is read again below
+        got_r, q_times = _householder_qr(a.copy())
         assert got_r.shape == r.shape
         eye = np.eye(r.shape[0])
         got_q = q_times(eye)
@@ -910,6 +934,27 @@ class TestHouseholderQR:
         before = a.copy()
         _householder_qr(a)[1](np.ones((9, 2)))
         assert np.array_equal(a, before)
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_column_major_input_factored_in_place(self, qr_path, complex_):
+        # a writeable column-major input gives the bits a read-only one
+        # gives, which is copied and left alone; ?geqrt leaves r on and
+        # above the diagonal of the writeable one itself
+        a = np.asfortranarray(_qr_input("blocks_64", complex_))
+        read_only = a.copy(order="F")
+        read_only.flags.writeable = False
+        col_major = a.copy(order="F")
+        want_r, want_q = _householder_qr(read_only)
+        got_r, got_q = _householder_qr(col_major)
+        x = make_rng(84).standard_normal((64, 3))
+        assert np.array_equal(got_r, want_r)
+        assert np.array_equal(got_q(x), want_q(x))
+        assert np.array_equal(read_only, a)
+        if qr_path == "numpy":
+            # np.linalg.qr factors a copy
+            assert np.array_equal(col_major, a)
+        else:
+            assert np.array_equal(np.triu(col_major[:64]), got_r)
 
     def test_real_q_times_complex(self, qr_path):
         a = _qr_input("blocks_64", False)
@@ -999,6 +1044,22 @@ class TestLrRecompress:
         np.testing.assert_allclose(res.u.conj().T @ res.u, np.eye(6), atol=1e-13)
         np.testing.assert_allclose(res.vt @ res.vt.conj().T, np.eye(6), atol=1e-13)
         assert rel_fro(res.matrix(), u @ v) <= 1e-13
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("u_order", ["C", "F"])
+    @pytest.mark.parametrize("v_layout", ["C", "transposed"])
+    def test_never_writes_its_inputs(self, complex_, u_order, v_layout):
+        # the kernel factors what it may write in place; the caller's
+        # arrays must come back bit for bit
+        u, v = random_factors(38, 70, 60, 12, complex_=complex_)
+        u = np.asarray(u, order=u_order)
+        if v_layout == "transposed":
+            v = v.T.copy().T
+        u_before, v_before = u.copy(), v.copy()
+        res = lr_recompress(u, v, 1e-12)
+        assert res.rank == 12
+        assert u.tobytes() == u_before.tobytes()
+        assert v.tobytes() == v_before.tobytes()
 
     @pytest.mark.parametrize("complex_", [False, True])
     def test_working_memory(self, complex_):
