@@ -356,6 +356,9 @@ def hbaca_compress(oracle, n_blocks, config, workers=1):
     config : BacaConfig
         Leaf compressor settings; block size 1 gives hierarchical plain
         cross approximation. Leaf seeds derive from (config.seed, block id).
+        ``config.max_rank`` is accepted only at n_blocks = 1, where it caps
+        the one BACA call; above that it raises ValueError, because it could
+        cap only the leaves, and the merges' ranks grow past it.
     workers : int
         Process pool size for the tile tasks. A task is one tile of
         2^t x 2^t leaves, t = ceil(L / 2) for n_blocks = 4^L: its leaves
@@ -395,6 +398,9 @@ def hbaca_compress(oracle, n_blocks, config, workers=1):
     if _checked_index(workers, "workers") < 1:
         raise ValueError("workers must be >= 1")
     levels = _levels_for(n_blocks)
+    if n_blocks > 1 and config.max_rank is not None:
+        raise ValueError("max_rank needs n_blocks = 1: the merges cannot hold "
+                         "the result to max_rank")
     m, n = oracle.rows, oracle.cols
     if m == 0 or n == 0:
         raise ValueError("oracle must be nonempty")

@@ -269,9 +269,11 @@ class EntryOracle:
     serve an ascending contiguous run by slicing instead of gathering (a
     shared run recognized in O(1); a subblock passes a whole-range request
     on to its base as such a run), and a custom oracle can do the same.
-    The base implementation loops over ``element``; subclasses override
-    it. Instances are immutable after construction and safe to share
-    across workers.
+    The base implementation loops over ``element``, so a custom oracle may
+    define ``element`` alone; the built-in oracles define ``block`` alone
+    and take ``element`` as its 1 x 1 block, so the two paths cannot give
+    different values. Instances are immutable after construction and safe
+    to share across workers.
     """
 
     rows: int
@@ -302,7 +304,14 @@ class EntryOracle:
         return SubblockOracle(self, row_lo, row_hi, col_lo, col_hi)
 
 
-class DenseOracle(EntryOracle):
+class _BlockOracle(EntryOracle):
+    """Base of the built-in oracles: ``element`` is the 1 x 1 ``block``."""
+
+    def element(self, i, j):
+        return self.block(np.array([i]), np.array([j]))[0, 0]
+
+
+class DenseOracle(_BlockOracle):
     """Oracle over an explicitly stored matrix."""
 
     def __init__(self, matrix):
@@ -315,25 +324,16 @@ class DenseOracle(EntryOracle):
         self.rows, self.cols = a.shape
         self.dtype = a.dtype
 
-    def element(self, i, j):
-        return self.matrix[i, j]
-
     def block(self, row_idx, col_idx):
-        rows = np.asarray(row_idx)
-        if rows.ndim != 1:
-            rows = rows.reshape(-1)
-        cols = np.asarray(col_idx)
-        if cols.ndim == 1 and rows.dtype.kind in "iu" and cols.dtype.kind in "iu":
-            rs, cs = _as_run(rows, self.rows), _as_run(cols, self.cols)
-            if isinstance(rs, slice) and isinstance(cs, slice):
-                # a view would let the caller write into the stored matrix
-                return self.matrix[rs, cs].copy()
-            if isinstance(rs, slice) or isinstance(cs, slice):
-                return self.matrix[rs, cs]
-        return self.matrix[rows.reshape(-1, 1), cols]
+        rs, cs = _as_run(row_idx, self.rows), _as_run(col_idx, self.cols)
+        if not (isinstance(rs, slice) or isinstance(cs, slice)):
+            return self.matrix[np.ix_(rs, cs)]
+        out = self.matrix[rs, cs]
+        # a view would let the caller write into the stored matrix
+        return out.copy() if np.may_share_memory(out, self.matrix) else out
 
 
-class KernelOracle(EntryOracle):
+class KernelOracle(_BlockOracle):
     """Kernel matrix between a row cloud and a column cloud."""
 
     def __init__(self, kernel, row_points, col_points):
@@ -348,9 +348,6 @@ class KernelOracle(EntryOracle):
         self.cols = cp.shape[0]
         self.dtype = np.dtype(kernel.dtype)
 
-    def element(self, i, j):
-        return self.kernel.element(self.row_points[i], self.col_points[j])
-
     def block(self, row_idx, col_idx):
         return self.kernel.block(
             self.row_points[_as_run(row_idx, self.rows)],
@@ -358,7 +355,7 @@ class KernelOracle(EntryOracle):
         )
 
 
-class LowRankProductOracle(EntryOracle):
+class LowRankProductOracle(_BlockOracle):
     """Oracle for an exact low-rank product u @ v with stored factors."""
 
     def __init__(self, u, v):
@@ -374,9 +371,6 @@ class LowRankProductOracle(EntryOracle):
     def inner_rank(self):
         return self.u.shape[1]
 
-    def element(self, i, j):
-        return self.u[i, :] @ self.v[:, j]
-
     def block(self, row_idx, col_idx):
         # a column gather comes back column-major, which BLAS multiplies in
         # another order than a slice: make v's block row-major either way so
@@ -385,7 +379,7 @@ class LowRankProductOracle(EntryOracle):
         return self.u[_as_run(row_idx, self.rows), :] @ v
 
 
-class SubblockOracle(EntryOracle):
+class SubblockOracle(_BlockOracle):
     """Contiguous rectangular restriction of another oracle. Indices are
     relative to the subblock, with the semantics of ``DenseOracle``:
     entries in [-rows, rows) (columns likewise) wrap, anything else
@@ -404,9 +398,6 @@ class SubblockOracle(EntryOracle):
         self.rows = row_hi - row_lo
         self.cols = col_hi - col_lo
         self.dtype = base.dtype
-
-    def element(self, i, j):
-        return self.base.element(self.row_index[i], self.col_index[j])
 
     def block(self, row_idx, col_idx):
         return self.base.block(_restrict(self.row_index, row_idx),

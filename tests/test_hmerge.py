@@ -3,6 +3,7 @@ import os
 import sys
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
@@ -390,6 +391,20 @@ class TestHBaca:
         assert np.array_equal(direct.vt, merged.vt)
         assert diag.level_max_rank == [direct.rank]
 
+    def test_max_rank_needs_a_single_block(self):
+        # the cap would reach only the 16 x 16 leaves: at max_rank 8 the
+        # merges returned rank 64, and 20 exceeded a leaf's min(m, n)
+        a = make_rng(72).standard_normal((64, 64))
+        for cap in (8, 20):
+            cfg = BacaConfig(block_size=4, tol=1e-6, seed=1, max_rank=cap)
+            with pytest.raises(ValueError, match="merges cannot hold the result to max_rank"):
+                hbaca_compress(dense_oracle(a), 16, cfg)
+            direct, _ = baca_compress(dense_oracle(a), cfg)
+            passed, diag = hbaca_compress(dense_oracle(a), 1, cfg)
+            assert passed.rank == direct.rank == cap
+            assert np.array_equal(passed.u, direct.u) and np.array_equal(passed.vt, direct.vt)
+            assert diag.level_max_rank == [cap]
+
     def test_global_rank_one(self):
         rng = make_rng(71)
         a = np.outer(rng.random(64) + 0.5, rng.random(64) + 0.5)
@@ -703,7 +718,7 @@ class TestDepthFirstMerges:
 
 
 def _blas_threads():
-    get = hmerge_mod._bundled_openblas().scipy_openblas_get_num_threads64_
+    get = linalg_mod._bundled_openblas().scipy_openblas_get_num_threads64_
     get.argtypes = []
     get.restype = ctypes.c_int
     return get()
@@ -713,7 +728,7 @@ def _blas_threads():
 def caller_blas_threads():
     """Sets the caller's BLAS thread count to 2, a count the single-thread
     pin has to change and then restore; skips without the OpenBLAS getter."""
-    lib = hmerge_mod._bundled_openblas()
+    lib = linalg_mod._bundled_openblas()
     if lib is None or not hasattr(lib, "scipy_openblas_get_num_threads64_"):
         pytest.skip("numpy does not bundle OpenBLAS with the thread getter")
     set_threads = lib.scipy_openblas_set_num_threads64_
@@ -919,6 +934,48 @@ class TestSingleThreadedTasks:
                 assert np.array_equal(a.sigma, b.sigma)
                 assert np.array_equal(a.vt, b.vt)
                 assert da.block_ranks == db.block_ranks
+
+    def test_threadpoolctl_pins_when_installed(self, caller_blas_threads, monkeypatch):
+        # a stand-in threadpoolctl that pins through the OpenBLAS setter, as
+        # the real one does; the ctypes branch must not run beside it
+        cfg = BacaConfig(block_size=4, tol=1e-8, seed=1)
+        want, _ = hbaca_compress(_spy(), 4, cfg)
+        set_threads = linalg_mod._bundled_openblas().scipy_openblas_set_num_threads64_
+        calls = []
+
+        class Limits:
+            def __init__(self, limits):
+                calls.append(("limits", limits, _blas_threads()))
+                set_threads(limits)
+
+            def restore_original_limits(self):
+                calls.append(("restore", _blas_threads()))
+                set_threads(caller_blas_threads)
+
+        fake = types.ModuleType("threadpoolctl")
+        fake.threadpool_limits = lambda limits: Limits(limits)
+        monkeypatch.setitem(sys.modules, "threadpoolctl", fake)
+        monkeypatch.setattr(hmerge_mod, "_bundled_openblas", None)
+        spy = _spy()
+        got, _ = hbaca_compress(spy, 4, cfg)
+        assert calls == [("limits", 1, caller_blas_threads), ("restore", 1)]
+        assert set(spy.seen) == {1}
+        assert np.array_equal(got.u, want.u)
+        assert np.array_equal(got.sigma, want.sigma)
+        assert np.array_equal(got.vt, want.vt)
+        assert _blas_threads() == caller_blas_threads
+
+    @pytest.mark.parametrize("lib", [None, types.SimpleNamespace()])
+    def test_no_pin_without_threadpoolctl_or_openblas(self, lib, monkeypatch):
+        # numpy on another BLAS, or an OpenBLAS without the thread symbols:
+        # the pin is a no-op and the call still returns
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+        monkeypatch.setattr(hmerge_mod, "_bundled_openblas", lambda: lib)
+        assert hmerge_mod._limit_blas_threads()() is None
+        u, v = random_factors(12, 48, 48, 6)
+        svd, _ = hbaca_compress(dense_oracle(u @ v), 4, BacaConfig(block_size=4, tol=1e-8, seed=1))
+        assert svd.rank == 6
+        assert rel_fro(svd.matrix(), u @ v) <= 1e-10
 
     def test_concurrent_callers_share_one_pin(self, caller_blas_threads):
         # the thread count is process-wide: a caller that restored it while

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import gram_epsilon_rank, j0_series, y0_series
+from helpers import gram_epsilon_rank, j0_series, traced_peak, y0_series
 from lrcompress.kernels import (
     DenseOracle,
     EntryOracle,
@@ -422,12 +422,15 @@ def _gather_cases(kind):
         return x + 1j * rng.standard_normal(shape) if kind == "complex" else x
 
     a = draw((12, 10))
-    u, v = draw((12, 3)), draw((3, 10))
+    # rank 8: a dot product of that length rounds unlike a 1 x 1 matmul
+    u, v = draw((12, 8)), draw((8, 10))
     pts_r, pts_c = rng.random((12, 2)), rng.random((10, 2)) + 2.0
     kernel = Hankel2DKernel(3.0) if kind == "complex" else GaussianKernel(0.7)
     lr = LowRankProductOracle(u, v)
     return [
         ("dense", DenseOracle(a), lambda r, c: a[np.ix_(r, c)]),
+        ("dense subblock", DenseOracle(a).subblock(2, 9, 3, 8),
+         lambda r, c: a[2:9, 3:8][np.ix_(r, c)]),
         ("kernel", KernelOracle(kernel, pts_r, pts_c),
          lambda r, c: kernel.block(pts_r[r], pts_c[c])),
         ("lowrank", lr, lambda r, c: u[r, :] @ np.ascontiguousarray(v[:, c])),
@@ -474,18 +477,43 @@ class TestOracleGathers:
             with pytest.raises(IndexError):
                 oracle.block(np.arange(oracle.rows), np.arange(1, oracle.cols + 1))
 
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_element_is_the_one_by_one_block(self, kind):
+        # bit for bit, negative indices included
+        for name, oracle, _ in _gather_cases(kind):
+            for i in range(-oracle.rows, oracle.rows):
+                for j in range(-oracle.cols, oracle.cols):
+                    got = np.asarray(oracle.element(i, j))
+                    want = oracle.block([i], [j])[0, 0]
+                    assert got.dtype == want.dtype, name
+                    assert got.tobytes() == want.tobytes(), (name, i, j)
+
     @pytest.mark.parametrize("rows, cols", [
         (np.arange(6), np.arange(5)),
         (np.arange(1, 4), np.arange(2, 5)),
         (np.arange(6), np.array([0, 3])),
         (np.array([5, 0]), np.arange(5)),
+        (np.array([5, 0]), np.array([4, 1, 1])),
+        (full_range(6), full_range(5)),
     ])
     def test_dense_block_is_owned_by_the_caller(self, rows, cols):
         a = make_rng(62).standard_normal((6, 5))
         oracle = DenseOracle(a.copy())
         out = oracle.block(rows, cols)
+        assert not np.may_share_memory(out, oracle.matrix)
         out[...] = 0.0
         assert np.array_equal(oracle.matrix, a)
+
+    def test_dense_gather_reads_no_whole_rows(self):
+        # 2000 permuted rows x 2 columns: the 32 kB block, not its 8 MB of
+        # whole rows
+        a = make_rng(63).standard_normal((2000, 500))
+        oracle = DenseOracle(a)
+        rows = make_rng(64).permutation(2000)
+        cols = np.array([7, 3])
+        out, peak = traced_peak(lambda: oracle.block(rows, cols))
+        assert np.array_equal(out, a[np.ix_(rows, cols)])
+        assert peak <= 4 * out.nbytes
 
 
 class _BlockOnlyOracle(EntryOracle):
