@@ -278,6 +278,9 @@ def _int_list(text):
         raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
 
 
+_WORKERS_HELP = "tile tasks run at once on threads, capped at the tile count (hbaca only)"
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="lrcompress",
@@ -291,7 +294,7 @@ def main(argv=None):
     run_p.add_argument("--algorithm", choices=ALGORITHMS)
     run_p.add_argument("--nb", type=int, dest="n_blocks", metavar="NB",
                        help="leaf block count for hbaca (power of 4)")
-    run_p.add_argument("--workers", type=int)
+    run_p.add_argument("--workers", type=int, help=_WORKERS_HELP)
     run_p.add_argument("--strict", action="store_true", default=False,
                        help="exit nonzero on degenerate termination")
     run_p.add_argument("--history-out")
@@ -306,7 +309,7 @@ def main(argv=None):
     scal_p.add_argument("--nb", type=_int_list, default=[1], dest="n_blocks", metavar="NB",
                         help="comma-separated block counts, e.g. 1,4,16")
     scal_p.add_argument("--workers", type=_int_list, default=[1],
-                        help="comma-separated worker counts, e.g. 1,2,4")
+                        help="comma-separated worker counts, e.g. 1,2,4; " + _WORKERS_HELP)
     scal_p.add_argument("--out", help="combined CSV path (default stdout)")
 
     args = parser.parse_args(argv)

@@ -17,15 +17,16 @@ leaves are always merged horizontally first.
 
 A task is one tile of 2^t x 2^t leaves, t = ceil(L / 2): its leaves are
 compressed in lockstep (``lockstep_factors``) as one group and merged up
-to the tile root within the task. The tasks run on a process pool, or
-inline for one worker; the calling process then merges the tile roots
-over the top L - t levels. Merges run subtree by subtree: a depth-first
-walk of the block quadtree merges each 2x2 group of siblings as soon as
-its children exist and releases each child once it is merged, so a walk
-holds its unmerged inputs plus at most one partial root-to-leaf path. The
-tiles depend only on n_b, each merge gets the inputs a level-by-level
-sweep would give it, and leaves and merges alike run on single-threaded
-BLAS, so results are bitwise identical at every worker count.
+to the tile root within the task. The tasks run on a thread pool that
+shares the caller's oracle, or inline for one worker; the calling thread
+then merges the tile roots over the top L - t levels. Merges run subtree
+by subtree: a depth-first walk of the block quadtree merges each 2x2
+group of siblings as soon as its children exist and releases each child
+once it is merged, so a walk holds its unmerged inputs plus at most one
+partial root-to-leaf path. The tiles depend only on n_b, each merge gets
+the inputs a level-by-level sweep would give it, and leaves and merges
+alike run on single-threaded BLAS, so results are bitwise identical at
+every worker count.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from __future__ import annotations
 import ctypes
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -213,11 +214,8 @@ def _tile_task(oracle, tile, level, row_ranges, col_ranges, configs, tol):
 
     Returns (root BlockSVD, LeafRecords by leaf, block ranks of the tile
     as in HBacaDiagnostics.block_ranks, merge seconds); the records carry
-    the leaf phase's seconds. ``oracle`` is None inside a pool worker,
-    which holds its own copy.
+    the leaf phase's seconds. Tasks on the pool share ``oracle``.
     """
-    if oracle is None:
-        oracle = _worker_oracle
     t0 = time.perf_counter()
     results = lockstep_factors([oracle.subblock(r0, r1, c0, c1)
                                 for r0, r1 in row_ranges for c0, c1 in col_ranges], configs)
@@ -234,11 +232,6 @@ def _tile_task(oracle, tile, level, row_ranges, col_ranges, configs, tol):
     del results, factors
     root = _merge_subtree(blocks, level, *tile, tol, ranks)
     return root, records, ranks, time.perf_counter() - t1
-
-
-# Oracle shared with pool workers through the initializer: shipped once per
-# worker instead of once per tile task.
-_worker_oracle = None
 
 
 def _limit_blas_threads():
@@ -299,38 +292,23 @@ class _SingleThreadedBlas:
 _single_threaded_blas = _SingleThreadedBlas()
 
 
-def _init_worker(oracle):
-    global _worker_oracle
-    _worker_oracle = oracle
-    # workers already oversubscribe the cores; stop BLAS from multiplying that
-    _limit_blas_threads()
-
-
-def _noop(_):
-    return None
-
-
 def _run_tasks(oracle, jobs, workers):
     """``_tile_task`` over ``jobs`` (its arguments after the oracle), in
     job order, and the wall seconds the tasks took.
 
-    One worker runs them inline; more run them through ``Executor.map`` on
-    a process pool of at most one process per task, every worker holding
-    its own copy of the oracle. The workers are started before the clock
-    and shut down after it; when a task raises, ``map`` cancels the tasks
-    not yet started.
+    One worker runs them inline in the calling thread; more run them
+    through ``Executor.map`` on a pool of at most one thread per task,
+    every task reading the caller's oracle. When a task raises, ``map``
+    cancels the tasks not yet started.
     """
     workers = min(workers, len(jobs))
+    t0 = time.perf_counter()
     if workers == 1:
-        t0 = time.perf_counter()
         results = [_tile_task(oracle, *job) for job in jobs]
-        return results, time.perf_counter() - t0
-    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                             initargs=(oracle,)) as pool:
-        list(pool.map(_noop, range(workers)))
-        t0 = time.perf_counter()
-        results = list(pool.map(_tile_task, [None] * len(jobs), *zip(*jobs)))
-        return results, time.perf_counter() - t0
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_tile_task, [oracle] * len(jobs), *zip(*jobs)))
+    return results, time.perf_counter() - t0
 
 
 def _levels_for(n_blocks):
@@ -360,18 +338,19 @@ def hbaca_compress(oracle, n_blocks, config, workers=1):
         the one BACA call; above that it raises ValueError, because it could
         cap only the leaves, and the merges' ranks grow past it.
     workers : int
-        Process pool size for the tile tasks. A task is one tile of
-        2^t x 2^t leaves, t = ceil(L / 2) for n_blocks = 4^L: its leaves
-        run in lockstep and are merged up to the tile root in the task, so
-        the pool is capped at the 4^(L - t) tiles; 1 runs them inline, one
-        tile at a time. The calling process merges the tile roots over the
-        top L - t levels after the pool has shut down. Every merge walk is
-        depth first over the block quadtree and releases each child block
-        once it is merged. Leaves and merges run on single-threaded BLAS,
-        so this is the number of cores the call uses, and the result is
-        bitwise identical at every worker count. The caller's BLAS thread
-        count is restored on return or raise; n_blocks=1 runs at that
-        count.
+        Number of tile tasks run at once, on a thread pool that shares
+        ``oracle``. A task is one tile of 2^t x 2^t leaves, t = ceil(L / 2)
+        for n_blocks = 4^L: its leaves run in lockstep and are merged up to
+        the tile root in the task, so the pool is capped at the 4^(L - t)
+        tiles; 1 runs them inline, one tile at a time. The calling thread
+        merges the tile roots over the top L - t levels after the pool has
+        shut down. Every merge walk is depth first over the block quadtree
+        and releases each child block once it is merged. Leaves and merges
+        run on single-threaded BLAS, so the result is bitwise identical at
+        every worker count. Tasks overlap where numpy releases the GIL, in
+        BLAS, LAPACK and array loops; an oracle whose ``block`` runs Python
+        code per entry holds it. The caller's BLAS thread count is restored
+        on return or raise; n_blocks=1 runs at that count.
 
     Returns
     -------
@@ -432,8 +411,8 @@ def hbaca_compress(oracle, n_blocks, config, workers=1):
              config.tol)
             for i in tiles for j in tiles]
 
-    # leaves and merges run on single-threaded BLAS, in the caller as in the
-    # pool workers
+    # leaves and merges run on single-threaded BLAS; the pin is process-wide,
+    # so it covers the pool threads
     diag = HBacaDiagnostics()
     with _single_threaded_blas:
         results, wall = _run_tasks(oracle, jobs, workers)

@@ -272,8 +272,9 @@ class EntryOracle:
     The base implementation loops over ``element``, so a custom oracle may
     define ``element`` alone; the built-in oracles define ``block`` alone
     and take ``element`` as its 1 x 1 block, so the two paths cannot give
-    different values. Instances are immutable after construction and safe
-    to share across workers.
+    different values. Instances are immutable after construction, and
+    ``block`` may be called from several threads at once: H-BACA's tile
+    tasks share one oracle.
     """
 
     rows: int

@@ -1,5 +1,4 @@
 import ctypes
-import os
 import sys
 import threading
 import time
@@ -9,6 +8,7 @@ import numpy as np
 import pytest
 
 import lrcompress.hmerge as hmerge_mod
+import lrcompress.kernels as kernels_mod
 import lrcompress.linalg as linalg_mod
 from helpers import conj_transposed, random_factors, rel_fro, traced_peak
 from lrcompress.aca import DEGENERATE
@@ -763,8 +763,8 @@ def _spy(fail=False):
 
 
 class _SingleThreadOnlyOracle(DenseOracle):
-    # picklable, so pool workers get a copy; a block request under more than
-    # one BLAS thread fails the leaf and with it the call
+    # a block request under more than one BLAS thread fails the leaf and
+    # with it the call
     def block(self, row_idx, col_idx):
         if _blas_threads() != 1:
             raise RuntimeError("block requested under multithreaded BLAS")
@@ -772,9 +772,9 @@ class _SingleThreadOnlyOracle(DenseOracle):
 
 
 class _FailingTileOracle(LowRankProductOracle):
-    # picklable; appends the first leaf of every tile task that starts, the
-    # one whose corner lies on the tile grid, to a log file, and fails the
-    # task of tile (0, 0) at once
+    # appends the first leaf of every tile task that starts, the one whose
+    # corner lies on the tile grid, to a log file, and fails the task of
+    # tile (0, 0) at once
     def __init__(self, u, v, tile, log):
         super().__init__(u, v)
         self.tile = tile
@@ -790,9 +790,8 @@ class _FailingTileOracle(LowRankProductOracle):
 
 
 def _recording_merges(monkeypatch, record):
-    # wraps the merges hbaca_compress looks up as module attributes; the
-    # wrappers are closures, which cannot be pickled to a pool worker, and
-    # calls in a worker are recorded there, never in the caller
+    # wraps the merges hbaca_compress looks up as module attributes, in the
+    # caller and in the pool threads alike
     for name in ("merge_pair_horizontal", "merge_pair_vertical"):
         def wrapped(*args, _merge=getattr(hmerge_mod, name)):
             record()
@@ -808,45 +807,38 @@ class TestWorkerBlasThreads:
                                    BacaConfig(block_size=4, tol=1e-8, seed=1), workers=2)
         assert svd.rank == 6
         assert len(diag.leaves) == 16
-        # the pin applies in the workers and during the call only
+        # the pin applies in the pool threads and during the call only
         assert _blas_threads() == caller_blas_threads
-
-    def test_worker_initializer_pins_blas(self, caller_blas_threads, monkeypatch):
-        # forked workers inherit the caller's pin, so the test above holds
-        # without the initializer's own; workers started fresh rely on it
-        monkeypatch.setattr(hmerge_mod, "_worker_oracle", None)
-        oracle = product_of_random_oracle(8, 2, seed=1)
-        hmerge_mod._init_worker(oracle)
-        assert hmerge_mod._worker_oracle is oracle
-        assert _blas_threads() == 1
 
     def test_merges_run_single_threaded(self, caller_blas_threads, monkeypatch):
         threads = []
         _recording_merges(monkeypatch, lambda: threads.append(_blas_threads()))
         oracle = product_of_random_oracle(64, 6, seed=14)
         cfg = BacaConfig(block_size=4, tol=1e-8, seed=2)
-        # inline, every merge: the four tiles' 8 + 4 and the caller's 2 + 1
-        hbaca_compress(oracle, 16, cfg, workers=1)
-        assert threads == [1] * (8 + 4 + 2 + 1)
-        # after a pool run, the caller's own; the tiles' run in the workers,
-        # which the initializer pins
-        threads.clear()
-        hbaca_compress(oracle, 16, cfg, workers=2)
-        assert threads == [1] * (2 + 1)
+        # every merge, inline and on the pool: the four tiles' 8 + 4 and the
+        # caller's 2 + 1; the process-wide pin covers the pool threads
+        for workers in (1, 2):
+            threads.clear()
+            hbaca_compress(oracle, 16, cfg, workers=workers)
+            assert threads == [1] * (8 + 4 + 2 + 1)
         assert _blas_threads() == caller_blas_threads
 
 
 class TestTilePool:
     def test_the_caller_merges_only_above_the_tiles(self, monkeypatch):
-        pids = []
-        _recording_merges(monkeypatch, lambda: pids.append(os.getpid()))
+        idents = []
+        _recording_merges(monkeypatch, lambda: idents.append(threading.get_ident()))
         oracle = product_of_random_oracle(64, 6, seed=14)
         cfg = BacaConfig(block_size=4, tol=1e-8, seed=2)
         svd, _ = hbaca_compress(oracle, 16, cfg, workers=2)
         assert svd.rank == 6
-        # four tiles of 2 x 2 leaves, each merged to its root in a worker:
-        # the caller merges the roots, two horizontal merges and a vertical
-        assert pids == [os.getpid()] * (2 + 1)
+        # four tiles of 2 x 2 leaves, each merged to its root in a pool
+        # thread: the caller merges the roots last, two horizontal merges
+        # and a vertical
+        caller = threading.get_ident()
+        assert idents[-(2 + 1):] == [caller] * (2 + 1)
+        assert caller not in idents[:-(2 + 1)]
+        assert len(idents) == 4 * (2 + 1) + (2 + 1)
 
     def test_phase_times_fit_in_the_call(self):
         # on a pool the tasks overlap: their summed leaf and merge times are
@@ -864,13 +856,13 @@ class TestTilePool:
         # one task per tile: 16 leaves make 4 tiles of 2 x 2, and 4 leaves
         # one tile, which runs inline
         sizes = []
-        real = hmerge_mod.ProcessPoolExecutor
+        real = hmerge_mod.ThreadPoolExecutor
 
         def recording(max_workers, **kwargs):
             sizes.append(max_workers)
             return real(max_workers=max_workers, **kwargs)
 
-        monkeypatch.setattr(hmerge_mod, "ProcessPoolExecutor", recording)
+        monkeypatch.setattr(hmerge_mod, "ThreadPoolExecutor", recording)
         oracle = product_of_random_oracle(32, 3, seed=15)
         cfg = BacaConfig(block_size=2, tol=1e-8, seed=4)
         for n_blocks in (16, 4):
@@ -888,7 +880,8 @@ class TestTilePool:
             hbaca_compress(oracle, 256, BacaConfig(block_size=8, tol=1e-6, seed=1), workers=2)
         started = log.read_text().split()
         assert "0,0" in started
-        # the queue holds a few tasks ahead of the workers: 5 or 6 start
+        # one task per pool thread, and at times one more that a thread takes
+        # before the failure reaches the caller: 2 or 3 start
         assert len(started) < 10
 
 
@@ -934,6 +927,42 @@ class TestSingleThreadedTasks:
                 assert np.array_equal(a.sigma, b.sigma)
                 assert np.array_equal(a.vt, b.vt)
                 assert da.block_ranks == db.block_ranks
+
+    @pytest.mark.parametrize("case", ["hankel", "prodrand-uneven"])
+    def test_pool_threads_share_the_run_cache(self, case, monkeypatch):
+        # every tile thread takes its index runs from kernels._RUNS; kept at
+        # two runs, the cache is cleared while both threads read it, and a
+        # run it no longer holds is served by a scan, to the same values
+        cleared = []
+
+        class Runs(dict):
+            def clear(self):
+                cleared.append(threading.get_ident())
+                super().clear()
+
+        monkeypatch.setattr(kernels_mod, "_RUNS", Runs())
+        monkeypatch.setattr(kernels_mod, "_RUNS_KEPT", 2)
+        if case == "hankel":
+            oracle = offdiag_oracle(Hankel2DKernel(300.0), strip_cloud(300.0, 15))
+            n_blocks, cfg = 16, BacaConfig(block_size=8, tol=1e-6, seed=3)
+        else:
+            oracle = product_of_random_oracle(1003, 20, seed=16)
+            n_blocks, cfg = 64, BacaConfig(block_size=8, tol=1e-8, seed=5)
+        want, want_diag = hbaca_compress(oracle, n_blocks, cfg, workers=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            # two threads, and four, more than the cores of a small host
+            for workers in (2, 4):
+                cleared.clear()
+                got, got_diag = hbaca_compress(oracle, n_blocks, cfg, workers=workers)
+                assert any(ident != threading.get_ident() for ident in cleared)
+                assert np.array_equal(got.u, want.u)
+                assert np.array_equal(got.sigma, want.sigma)
+                assert np.array_equal(got.vt, want.vt)
+                assert got_diag.block_ranks == want_diag.block_ranks
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_threadpoolctl_pins_when_installed(self, caller_blas_threads, monkeypatch):
         # a stand-in threadpoolctl that pins through the OpenBLAS setter, as
