@@ -12,7 +12,7 @@ from .aca import (
     PivotBlock,
     aca_compress,
 )
-from .baca import BacaConfig, baca_compress, baca_lockstep, lrid, select_pivot_blocks
+from .baca import BacaConfig, baca_compress, lrid, select_pivot_blocks
 from .bessel import bessel_j0, bessel_y0
 from .hmerge import (
     BlockSVD,

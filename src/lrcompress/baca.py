@@ -9,12 +9,13 @@ pivot selection and update. Block size 1 reproduces the plain cross sweep
 pivot for pivot; block size min(m, n) reduces to a QRCP-based interpolative
 decomposition of the whole matrix.
 
-Sweeps run in lockstep (``baca_lockstep``): each keeps its own ``_Sweep``,
-but the residual blocks of all running sweeps are zero-padded into stacks,
-so that every pivot selection, interpolative update and update norm is one
-stacked numpy call for the lot. ``baca_compress`` is the lockstep run of
-one sweep, and ``select_pivot_blocks`` and ``lrid`` are the stacked steps
-applied to one sweep.
+Sweeps run in lockstep groups (``lockstep_factors``): each keeps its own
+``_Sweep``, but the residual blocks of all running sweeps are zero-padded
+into stacks, so that every pivot selection, interpolative update and update
+norm is one stacked numpy call for the lot. H-BACA compresses its leaves as
+such groups; ``baca_compress`` is the group of one, recompressed, and
+``select_pivot_blocks`` and ``lrid`` are the stacked steps applied to one
+sweep.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ __all__ = [
     "select_pivot_blocks",
     "lrid",
     "baca_compress",
-    "baca_lockstep",
     "lockstep_factors",
 ]
 
@@ -234,8 +234,22 @@ def baca_compress(oracle, config):
         The accumulated factors after SVD re-compression at config.tol, and
         the per-iteration history (records, retained pivot blocks,
         termination reason).
+
+    Notes
+    -----
+    The sweep is the lockstep group of one (``lockstep_factors``), and the
+    final recompression runs on its factor buffers themselves: ``u`` and
+    ``v`` are checked finite, as ``lr_recompress`` checks its inputs, and
+    handed to the recompression kernel (``linalg._recompress_side_by_side``),
+    which factors them in place and frees u once it has been applied.
+    Nothing here keeps a reference to them, so unlike ``lr_recompress`` the
+    call copies neither factor.
     """
-    return baca_lockstep([oracle], [config])[0]
+    [(factors, history)] = lockstep_factors([oracle], [config])
+    blocks = [LowRankFactors(checked_matrix(factors.u, "u"), checked_matrix(factors.v, "v"))]
+    # the kernel now holds the only reference, so u is freed once applied
+    del factors
+    return _recompress_side_by_side(blocks, config.tol), history
 
 
 # fresh column blocks a sweep tries after a zero-rank update before it ends
@@ -243,9 +257,9 @@ def baca_compress(oracle, config):
 MAX_DEGENERATE_RETRIES = 3
 
 
-def baca_lockstep(oracles, configs):
-    """Compress several entry oracles by blocked cross approximation in
-    lockstep; ``baca_compress`` is the case of one.
+def lockstep_factors(oracles, configs):
+    """Run several blocked cross approximation sweeps in lockstep, without
+    the final re-compression.
 
     Every oracle runs its own sweep with its own config (seed, tolerance,
     block size, rank cap), factors, masks, history and stopping
@@ -262,37 +276,15 @@ def baca_lockstep(oracles, configs):
     padded stacks. The oracles must be all real or all complex: one stack
     has one dtype, and a real sweep's factors cannot take complex updates.
 
-    The final recompression runs on the sweeps' factor buffers themselves:
-    each sweep's ``u`` and ``v`` are checked finite, as ``lr_recompress``
-    checks its inputs, and handed to the recompression kernel
-    (``linalg._recompress_side_by_side``), which factors them in place and
-    frees u once it has been applied. Nothing here keeps a reference to
-    them, so unlike ``lr_recompress`` the call copies neither factor.
-
     Returns
     -------
-    list of (TruncatedSVD, ConvergenceHistory), in oracle order: each
-    sweep's cross factors after SVD re-compression at its config.tol.
+    list of (LowRankFactors, ConvergenceHistory), in oracle order: each
+    sweep's accumulated cross factors ``u @ v`` as views of its factor
+    buffers, for callers that truncate them, alone or together with other
+    blocks. The list holds the only references to the buffers:
+    ``baca_compress`` hands them on to the recompression kernel, which
+    factors them in place, and H-BACA's merges copy the v they factor.
     """
-    results = lockstep_factors(oracles, configs)
-    out = []
-    for config in configs:
-        factors, history = results.pop(0)
-        blocks = [LowRankFactors(checked_matrix(factors.u, "u"), checked_matrix(factors.v, "v"))]
-        # the kernel now holds the only reference, so u is freed once applied
-        del factors
-        out.append((_recompress_side_by_side(blocks, config.tol), history))
-    return out
-
-
-def lockstep_factors(oracles, configs):
-    """``baca_lockstep`` without the final re-compression: the list of
-    (LowRankFactors, ConvergenceHistory) in oracle order, each sweep's
-    accumulated cross factors ``u @ v`` as views of its factor buffers,
-    for callers that truncate them together with other blocks. The list
-    holds the only references to the buffers: ``baca_lockstep`` hands them
-    on to the recompression kernel, which factors them in place, and
-    H-BACA's merges copy the v they factor."""
     if len(oracles) != len(configs):
         raise ValueError(f"{len(oracles)} oracles but {len(configs)} configs")
     if len({working_dtype(o.dtype) for o in oracles}) > 1:

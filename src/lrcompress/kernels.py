@@ -51,6 +51,13 @@ class PointFileError(ValueError):
     """Malformed point/matrix text file; message names the offending line."""
 
 
+def _checked_2d(a, name, dtype=None):
+    a = np.asarray(a, dtype=dtype)
+    if a.ndim != 2:
+        raise ValueError(f"{name} must be 2-d, got shape {a.shape}")
+    return a
+
+
 @dataclass(frozen=True)
 class PointCloud:
     """Fixed-dimension feature vectors, one per row of ``points``."""
@@ -58,9 +65,9 @@ class PointCloud:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
-        if pts.ndim != 2:
-            raise ValueError(f"points must be 2-d, got shape {pts.shape}")
+        pts = _checked_2d(self.points, "points", np.float64)
+        if pts.shape[1] == 0:
+            raise ValueError("points must have at least one coordinate")
         if pts.size and not np.isfinite(pts).all():
             raise ValueError("point coordinates must be finite")
         object.__setattr__(self, "points", pts)
@@ -110,6 +117,8 @@ def _parse_table(path):
             if not text or text.startswith("#"):
                 continue
             parts = [p for p in text.replace(",", " ").split() if p]
+            if not parts:
+                raise PointFileError(f"{path}:{lineno}: no values")
             if arity is None:
                 arity = len(parts)
             elif len(parts) != arity:
@@ -316,9 +325,7 @@ class DenseOracle(_BlockOracle):
     """Oracle over an explicitly stored matrix."""
 
     def __init__(self, matrix):
-        a = np.asarray(matrix)
-        if a.ndim != 2:
-            raise ValueError("matrix must be 2-d")
+        a = _checked_2d(matrix, "matrix")
         if a.size and not np.isfinite(a).all():
             raise ValueError("matrix has non-finite entries")
         self.matrix = a
@@ -338,8 +345,8 @@ class KernelOracle(_BlockOracle):
     """Kernel matrix between a row cloud and a column cloud."""
 
     def __init__(self, kernel, row_points, col_points):
-        rp = np.asarray(row_points, dtype=np.float64)
-        cp = np.asarray(col_points, dtype=np.float64)
+        rp = _checked_2d(row_points, "row_points", np.float64)
+        cp = _checked_2d(col_points, "col_points", np.float64)
         if rp.shape[1] != cp.shape[1]:
             raise ValueError("row/column point dimensions disagree")
         self.kernel = kernel
@@ -360,8 +367,8 @@ class LowRankProductOracle(_BlockOracle):
     """Oracle for an exact low-rank product u @ v with stored factors."""
 
     def __init__(self, u, v):
-        self.u = np.asarray(u)
-        self.v = np.asarray(v)
+        self.u = _checked_2d(u, "u")
+        self.v = _checked_2d(v, "v")
         if self.u.shape[1] != self.v.shape[0]:
             raise ValueError("inner dimensions disagree")
         self.rows = self.u.shape[0]

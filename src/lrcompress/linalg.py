@@ -184,7 +184,7 @@ class FactorBuffer:
     not four. ``u`` is kept column-major and ``v`` row-major: both views are
     contiguous, and unused capacity is one untouched tail of each buffer.
     So ``u`` and ``v.T`` are the column-major arrays that ``?geqrt``
-    factors: ``baca_lockstep`` hands them to the final recompression, which
+    factors: ``baca_compress`` hands them to the final recompression, which
     factors them in place, and H-BACA's merges pass a read-only view of
     ``v``, which the recompression copies.
     """
@@ -689,7 +689,7 @@ def lr_recompress(u, v, tol):
     The caller's u and v are never written. The kernel factors in place
     what it may write, so it gets read-only views of them and factors
     column-major copies, which become its two reflector sets; each is made
-    as its QR starts. ``baca_lockstep`` hands its sweep buffers to the
+    as its QR starts. ``baca_compress`` hands its sweep buffers to the
     kernel instead and copies neither. Working memory is the two copies,
     one the size of each input factor, plus the outputs: v^T is factored as
     it is, and the conjugation that v^H would need falls on the small R
@@ -715,7 +715,7 @@ def _read_only(a):
 def _recompress_side_by_side(blocks, tol):
     """Truncated SVD at ``tol`` of blocks side by side over the same rows,
     ``[A_1, A_2, ...]``: the one recompression kernel, of ``lr_recompress``,
-    of ``baca_lockstep`` and of every H-BACA merge.
+    of ``baca_compress`` and of every H-BACA merge.
 
     A block is raw factors (``LowRankFactors``, A_i = u_i v_i) or an SVD
     (``TruncatedSVD``, A_i = u_i diag(sigma_i) vt_i). One Householder QR
@@ -735,7 +735,7 @@ def _recompress_side_by_side(blocks, tol):
     column-major, and it drops its last reference to the u reflectors once
     Q_u has been applied, before vt is formed. An SVD block's vt is only
     read. So a caller hands over arrays that nothing reads again and keeps
-    no reference of its own, as ``baca_lockstep`` does with its sweep
+    no reference of its own, as ``baca_compress`` does with its sweep
     buffers, or passes read-only views, which the kernel copies, as
     ``lr_recompress`` and ``merge_pair_horizontal`` do.
     """

@@ -16,7 +16,6 @@ from lrcompress.aca import (
 from lrcompress.baca import (
     BacaConfig,
     baca_compress,
-    baca_lockstep,
     lockstep_factors,
     lrid,
     select_pivot_blocks,
@@ -355,25 +354,31 @@ class TestLockstep:
         ]
         oracles = [dense_oracle(a) for a, _ in cases]
         configs = [BacaConfig(block_size=4, tol=1e-9, **kw) for _, kw in cases]
-        together = baca_lockstep(oracles, configs)
-        for oracle, config, (svd, history) in zip(oracles, configs, together):
-            alone, alone_history = baca_compress(oracle, config)
+        together = lockstep_factors(oracles, configs)
+        for oracle, config, (factors, history) in zip(oracles, configs, together):
+            [(alone, alone_history)] = lockstep_factors([oracle], [config])
             assert history.blocks == alone_history.blocks
             assert history.termination == alone_history.termination
-            assert svd.rank == alone.rank
-            assert rel_fro(svd.matrix(), alone.matrix()) <= 1e-12
+            assert ([(r.k, r.rank) for r in history.records]
+                    == [(r.k, r.rank) for r in alone_history.records])
+            # the norm estimates and factors agree to rounding: the stacks pad
+            np.testing.assert_allclose([(r.nu, r.mu) for r in history.records],
+                                       [(r.nu, r.mu) for r in alone_history.records], rtol=1e-12)
+            assert factors.rank == alone.rank
+            if factors.rank:
+                assert rel_fro(factors.matrix(), alone.matrix()) <= 1e-12
         assert [history.termination for _, history in together] == [
             CONVERGED, DEGENERATE, CONVERGED, CONVERGED, RANK_CAP, FULL_RANK, FULL_RANK]
         assert len({history.iterations for _, history in together}) > 2
-        for (a, _), (svd, history) in zip(cases, together):
+        for (a, _), (factors, history) in zip(cases, together):
             if history.termination == CONVERGED:
-                assert rel_fro(svd.matrix(), a) <= 1e-10
+                assert rel_fro(factors.matrix(), a) <= 1e-10
 
     def test_block_size_one_group_matches_plain_sweeps(self):
         mats = [make_rng(90 + k).standard_normal((24, 24 - k % 2)) for k in range(4)]
         oracles = [dense_oracle(a) for a in mats]
-        together = baca_lockstep(oracles, [BacaConfig(block_size=1, tol=1e-6, seed=k)
-                                           for k in range(4)])
+        together = lockstep_factors(oracles, [BacaConfig(block_size=1, tol=1e-6, seed=k)
+                                              for k in range(4)])
         for k, (oracle, (_, history)) in enumerate(zip(oracles, together)):
             _, plain = aca_compress(oracle, AcaConfig(tol=1e-6, seed=k))
             assert history.blocks == plain.blocks
@@ -386,12 +391,13 @@ class TestLockstep:
             u = rng.standard_normal((18, 4)) + 1j * rng.standard_normal((18, 4))
             v = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
             mats.append(u @ v)
-        together = baca_lockstep([dense_oracle(a) for a in mats],
-                                 [BacaConfig(block_size=3, tol=1e-10, seed=k) for k in range(3)])
-        for a, (svd, _) in zip(mats, together):
-            assert svd.u.dtype == np.complex128
-            assert svd.rank == 4
-            assert rel_fro(svd.matrix(), a) <= 1e-10
+        together = lockstep_factors([dense_oracle(a) for a in mats],
+                                    [BacaConfig(block_size=3, tol=1e-10, seed=k) for k in range(3)])
+        for a, (factors, _) in zip(mats, together):
+            assert factors.u.dtype == factors.v.dtype == np.complex128
+            assert rel_fro(factors.matrix(), a) <= 1e-10
+            # the cross factors overshoot the rank; their recompression does not
+            assert lr_recompress(factors.u, factors.v, 1e-10).rank == 4
 
     def test_mixed_real_and_complex_group_rejected(self):
         rng = make_rng(79)
@@ -399,7 +405,7 @@ class TestLockstep:
         complex_ = rng.standard_normal((20, 20)) + 1j * rng.standard_normal((20, 20))
         cfg = BacaConfig(block_size=3, tol=1e-8, seed=0)
         with pytest.raises(ValueError, match="all real or all complex"):
-            baca_lockstep([dense_oracle(real), dense_oracle(complex_)], [cfg, cfg])
+            lockstep_factors([dense_oracle(real), dense_oracle(complex_)], [cfg, cfg])
 
     def test_oracle_and_config_counts_must_match(self):
         # zip would drop the oracles past the last config, without a word
@@ -408,19 +414,17 @@ class TestLockstep:
         for configs in ([cfg], [cfg, cfg, cfg]):
             with pytest.raises(ValueError, match="oracles but"):
                 lockstep_factors(oracles, configs)
-            with pytest.raises(ValueError, match="oracles but"):
-                baca_lockstep(oracles, configs)
 
     def test_non_finite_residual_raises(self):
         a = exact_rank_matrix(75, 16, 16, 3)
         a[5, :] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            baca_lockstep([dense_oracle(exact_rank_matrix(76, 16, 16, 3)), _NanOracle(a)],
-                          [BacaConfig(block_size=2, tol=1e-8, seed=k) for k in range(2)])
+            lockstep_factors([dense_oracle(exact_rank_matrix(76, 16, 16, 3)), _NanOracle(a)],
+                             [BacaConfig(block_size=2, tol=1e-8, seed=k) for k in range(2)])
 
 
 class TestFinalRecompression:
-    # baca_lockstep hands the sweep buffers to the recompression kernel,
+    # baca_compress hands the sweep buffers to the recompression kernel,
     # which factors them in place and frees u once applied, and a buffer
     # growth holds three buffers, not four
 

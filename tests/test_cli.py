@@ -251,6 +251,17 @@ class TestMain:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_value_less_point_file_is_input_error(self, tmp_path, capsys):
+        # a file error, not a traceback from a cloud with no coordinates
+        path = tmp_path / "seps.txt"
+        path.write_text(",,\n,,\n")
+        rc = main(["run", "--kernel", "gaussian", "--points-file", str(path),
+                   "--algorithm", "aca"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {path}:1: no values" in captured.err
+
     @pytest.mark.parametrize("cap", ["-100", "0"])
     def test_verify_cap_below_one_is_usage_error(self, cap, capsys):
         rc = main([

@@ -160,6 +160,14 @@ class TestPointClouds:
         with pytest.raises(PointFileError, match="bad2.txt:2"):
             load_point_cloud(path)
 
+    @pytest.mark.parametrize("text, line", [(",,\n,,\n", 1), (",,\n1 2\n", 1), ("1 2\n ,\n", 2)])
+    def test_point_file_value_less_line_names_line(self, tmp_path, text, line):
+        # a line of separators alone has no values, so no point to read
+        path = tmp_path / "seps.txt"
+        path.write_text(text)
+        with pytest.raises(PointFileError, match=f"seps.txt:{line}: no values"):
+            load_point_cloud(path)
+
     def test_point_file_empty(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("# nothing\n")
@@ -176,6 +184,8 @@ class TestPointClouds:
             PointCloud(np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             PointCloud(np.array([[1.0], [np.inf]]))
+        with pytest.raises(ValueError, match="at least one coordinate"):
+            PointCloud(np.zeros((2, 0)))
 
 
 class TestProductOfRandomOracle:
@@ -306,9 +316,27 @@ class TestInputChecks:
         with pytest.raises(ValueError, match="dimensions disagree"):
             KernelOracle(GaussianKernel(1.0), np.zeros((4, 2)), np.ones((3, 3)))
 
+    @pytest.mark.parametrize("rows, cols, name", [
+        (np.zeros(4), np.zeros(4), "row_points"),
+        (np.zeros((4, 2)), np.zeros((4, 2, 1)), "col_points"),
+    ])
+    def test_kernel_oracle_needs_point_matrices(self, rows, cols, name):
+        with pytest.raises(ValueError, match=f"{name} must be 2-d"):
+            KernelOracle(GaussianKernel(1.0), rows, cols)
+
     def test_low_rank_product_inner_dimensions_must_agree(self):
         with pytest.raises(ValueError, match="inner dimensions disagree"):
             LowRankProductOracle(np.ones((4, 2)), np.ones((3, 5)))
+
+    @pytest.mark.parametrize("u, v, name", [
+        (np.zeros(4), np.zeros((1, 4)), "u"),
+        # u.shape[1] matches v, so only the 2-d check refuses it
+        (np.zeros((4, 2, 1)), np.zeros((2, 4)), "u"),
+        (np.zeros((4, 1)), np.zeros(4), "v"),
+    ])
+    def test_low_rank_product_needs_factor_matrices(self, u, v, name):
+        with pytest.raises(ValueError, match=f"{name} must be 2-d"):
+            LowRankProductOracle(u, v)
 
     @pytest.mark.parametrize("count, dim", [(0, 2), (3, 0), (-1, 2)])
     def test_random_cloud_arguments(self, count, dim):

@@ -646,7 +646,7 @@ class TestLrNorm:
 
     @pytest.mark.parametrize("complex_", [False, True])
     def test_zero_padded_stack(self, complex_):
-        # the layout baca_lockstep passes: u is the transposed view of a
+        # the layout lockstep_factors passes: u is the transposed view of a
         # (B, r, m) stack, and slice b is zero past its rank in both factors
         m, n, width = 40, 30, 8
         ranks = [0, 1, 3, 8]
