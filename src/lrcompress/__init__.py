@@ -18,9 +18,7 @@ from .hmerge import (
     BlockSVD,
     CostModelParams,
     HBacaDiagnostics,
-    IndexTree,
     LeafRecord,
-    build_index_tree,
     cost_model,
     hbaca_compress,
     merge_pair_horizontal,

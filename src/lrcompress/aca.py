@@ -7,7 +7,9 @@ pivot the largest remaining entry of the residual row. ``_Sweep`` holds what
 the plain and blocked sweeps have in common (shape checks, the accumulated
 factors and their running norm mu, the used-row and used-column masks, the
 history and the stopping tests); the two differ only in how they select
-pivots and form each update. The running update norm nu and total norm mu
+pivots and form each update. Both read the oracle only through
+``residual_columns`` and ``residual_rows``, which raise ValueError on a
+non-finite entry. The running update norm nu and total norm mu
 drive the nu < eps * mu stopping test.
 
 mu is settled lazily. Its cross terms with the accumulated factors cost two
@@ -80,12 +82,11 @@ class IterationRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class PivotBlock:
-    """Row/column index sets retained by one iteration; ``added`` is the
-    effective rank increase (== len(rows) == len(cols))."""
+    """Row/column index sets retained by one iteration, of equal length:
+    the rank the iteration adds."""
 
     rows: tuple
     cols: tuple
-    added: int
 
 
 @dataclass
@@ -145,18 +146,26 @@ class AcaConfig:
         _check_config(self)
 
 
+def _check_finite(a, name):
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} contain non-finite entries")
+    return a
+
+
 def residual_columns(oracle, u, v, cols):
     """Columns ``cols`` of the residual ``A - u v`` in the working dtype,
-    (m, len(cols))."""
+    (m, len(cols)); raises ValueError if any entry is not finite."""
     c = oracle.block(full_range(oracle.rows), cols)
-    return c.astype(working_dtype(oracle.dtype), copy=False) - u @ v[:, cols]
+    return _check_finite(c.astype(working_dtype(oracle.dtype), copy=False) - u @ v[:, cols],
+                         "residual columns")
 
 
 def residual_rows(oracle, u, v, rows):
     """Rows ``rows`` of the residual ``A - u v`` in the working dtype,
-    (len(rows), n)."""
+    (len(rows), n); raises ValueError if any entry is not finite."""
     r = oracle.block(rows, full_range(oracle.cols))
-    return r.astype(working_dtype(oracle.dtype), copy=False) - u[rows, :] @ v
+    return _check_finite(r.astype(working_dtype(oracle.dtype), copy=False) - u[rows, :] @ v,
+                         "residual rows")
 
 
 class _Sweep:
@@ -226,8 +235,7 @@ class _Sweep:
         self.used_cols[cols] = True
         history = self.history
         history.blocks.append(PivotBlock(rows=tuple(int(i) for i in rows),
-                                         cols=tuple(int(j) for j in cols),
-                                         added=len(rows)))
+                                         cols=tuple(int(j) for j in cols)))
         history.records.append(
             IterationRecord(len(history.records) + 1, factors.rank, nu, math.nan))
 

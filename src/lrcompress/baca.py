@@ -107,11 +107,6 @@ def select_pivot_blocks(oracle, u, v, col_block, used_rows, used_cols, d):
     return rows[0], next_cols[0], ct[0, :j].T, r[0, :i], w[0, :i, :j]
 
 
-def _check_finite(a, name):
-    if not np.isfinite(a).all():
-        raise ValueError(f"{name} contain non-finite entries")
-
-
 def _select_stack(oracles, us, vs, col_blocks, used_rows, used_cols, d):
     """``select_pivot_blocks`` for several sweeps in lockstep: one stacked
     qrcp picks every sweep's row block, one more every next column block.
@@ -140,7 +135,6 @@ def _select_stack(oracles, us, vs, col_blocks, used_rows, used_cols, d):
     for b, c in enumerate(cs):
         ct[b, : c.shape[1], : c.shape[0]] = c.T
         avail[b, : c.shape[0]] = ~used_rows[b]
-    _check_finite(ct, "residual columns")
     ki = np.minimum(np.minimum(d, kj), avail.sum(axis=1))
     piv = _qrcp_stack(ct, ki, eligible=avail, lengths=kj)[3]
     rows = [piv[b, :k] for b, k in enumerate(ki)]
@@ -155,7 +149,6 @@ def _select_stack(oracles, us, vs, col_blocks, used_rows, used_cols, d):
         avail[b, :n] = ~used_cols[b]
         avail[b, col_blocks[b]] = False
         w[b, : ki[b], : kj[b]] = ct[b][: kj[b], rows[b]].T
-    _check_finite(r, "residual rows")
     steps = np.minimum(np.minimum(d, ki), avail.sum(axis=1))
     piv = _qrcp_stack(r, steps, eligible=avail, lengths=ki)[3]
     next_cols = [piv[b, :k] for b, k in enumerate(steps)]

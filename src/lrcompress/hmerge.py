@@ -1,10 +1,11 @@
 """Hierarchical compression: partition, per-block compression, pairwise
 truncated-SVD merges, and the analytic cost model.
 
-The matrix is tiled into n_b = 4^L blocks by L-level binary index trees on
-rows and columns. Every leaf block is compressed independently (blocked
-cross approximation), then for each level the sibling blocks are merged
-horizontally and vertically, never through the dense blocks. Every merge
+The matrix is tiled into n_b = 4^L leaf blocks: rows and columns are each
+split into 2^L contiguous leaf ranges by L rounds of ceil/floor midpoint
+splits (``_leaf_ranges``). Every leaf block is compressed independently
+(blocked cross approximation), then for each level the sibling blocks are
+merged horizontally and vertically, never through the dense blocks. Every merge
 runs through one kernel, ``linalg._recompress_side_by_side``: one
 Householder QR of the two blocks' stacked bases on the shared side, and a
 truncated SVD of the small core only. No leaf is truncated on its own: a
@@ -56,12 +57,10 @@ from .linalg import truncated_svd  # noqa: F401
 from .seeding import block_seed
 
 __all__ = [
-    "IndexTree",
     "BlockSVD",
     "HBacaDiagnostics",
     "LeafRecord",
     "CostModelParams",
-    "build_index_tree",
     "merge_pair_horizontal",
     "merge_pair_vertical",
     "hbaca_compress",
@@ -69,44 +68,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IndexTree:
-    """Binary tree of contiguous index ranges.
-
-    ``ranges[l]`` lists the half-open (lo, hi) ranges of the nodes at level
-    l, with the leaves at level 0 and the root, the whole range, at the last
-    level. Node (l, i) has children (l-1, 2i) and (l-1, 2i+1).
-    """
-
-    ranges: tuple
-
-    def leaves(self):
-        return self.ranges[0]
-
-
-def build_index_tree(extent, levels):
-    """Split [0, extent) into 2^levels leaves by repeated ceil/floor
-    midpoint splits; raises if extent < 2^levels."""
-    if extent < 2**levels:
-        raise ValueError(f"extent {extent} cannot be split into 2^{levels} leaves")
-    by_level = [[(0, extent)]]
+def _leaf_ranges(extent, levels):
+    """The 2^levels half-open ranges (lo, hi) that split [0, extent), in
+    order, by ``levels`` rounds of ceil/floor midpoint splits."""
+    ranges = [(0, extent)]
     for _ in range(levels):
-        children = []
-        for lo, hi in by_level[-1]:
-            size = hi - lo
-            left = (size + 1) // 2
-            children.append((lo, lo + left))
-            children.append((lo + left, hi))
-        by_level.append(children)
-    by_level.reverse()
-    return IndexTree(tuple(tuple(level) for level in by_level))
+        halves = []
+        for lo, hi in ranges:
+            mid = (lo + hi + 1) // 2
+            halves += [(lo, mid), (mid, hi)]
+        ranges = halves
+    return ranges
 
 
 @dataclass(frozen=True)
 class BlockSVD:
     """One block of the merge walk, tagged with its (level, index) row and
-    column tree nodes. ``svd`` is a ``TruncatedSVD``, or for a leaf its raw
-    cross factors (``LowRankFactors``, ``u @ v``), which no merge but
+    column nodes: node (l, i) spans leaf ranges 2^l i to 2^l (i + 1) - 1,
+    and its children are (l - 1, 2i) and (l - 1, 2i + 1). ``svd`` is a
+    ``TruncatedSVD``, or for a leaf its raw cross factors
+    (``LowRankFactors``, ``u @ v``), which no merge but
     ``merge_pair_horizontal`` takes."""
 
     row_node: tuple
@@ -398,14 +379,14 @@ def hbaca_compress(oracle, n_blocks, config, workers=1):
     side = 2**levels
     if side > min(m, n):
         raise ValueError(f"cannot split a {m}x{n} matrix into {side}x{side} blocks")
-    row_tree = build_index_tree(m, levels)
-    col_tree = build_index_tree(n, levels)
+    row_leaves = _leaf_ranges(m, levels)
+    col_leaves = _leaf_ranges(n, levels)
 
     tile_level = (levels + 1) // 2
     span = 2**tile_level
     tiles = range(0, side, span)
     jobs = [((i // span, j // span), tile_level,
-             row_tree.leaves()[i:i + span], col_tree.leaves()[j:j + span],
+             row_leaves[i:i + span], col_leaves[j:j + span],
              [replace(config, seed=block_seed(config.seed, a * side + b))
               for a in range(i, i + span) for b in range(j, j + span)],
              config.tol)

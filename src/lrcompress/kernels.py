@@ -58,6 +58,17 @@ def _checked_2d(a, name, dtype=None):
     return a
 
 
+def _checked_points(a, name):
+    """``a`` as a float64 array of points, one per row: 2-d, with at least
+    one coordinate, all finite."""
+    pts = _checked_2d(a, name, np.float64)
+    if pts.shape[1] == 0:
+        raise ValueError(f"{name} must have at least one coordinate")
+    if not np.isfinite(pts).all():
+        raise ValueError(f"{name} coordinates must be finite")
+    return pts
+
+
 @dataclass(frozen=True)
 class PointCloud:
     """Fixed-dimension feature vectors, one per row of ``points``."""
@@ -65,12 +76,7 @@ class PointCloud:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = _checked_2d(self.points, "points", np.float64)
-        if pts.shape[1] == 0:
-            raise ValueError("points must have at least one coordinate")
-        if pts.size and not np.isfinite(pts).all():
-            raise ValueError("point coordinates must be finite")
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", _checked_points(self.points, "points"))
 
     @property
     def count(self):
@@ -326,7 +332,9 @@ class DenseOracle(_BlockOracle):
 
     def __init__(self, matrix):
         a = _checked_2d(matrix, "matrix")
-        if a.size and not np.isfinite(a).all():
+        if a.dtype.kind not in "biufc":
+            raise TypeError(f"matrix must be numeric, got dtype {a.dtype}")
+        if not np.isfinite(a).all():
             raise ValueError("matrix has non-finite entries")
         self.matrix = a
         self.rows, self.cols = a.shape
@@ -345,8 +353,8 @@ class KernelOracle(_BlockOracle):
     """Kernel matrix between a row cloud and a column cloud."""
 
     def __init__(self, kernel, row_points, col_points):
-        rp = _checked_2d(row_points, "row_points", np.float64)
-        cp = _checked_2d(col_points, "col_points", np.float64)
+        rp = _checked_points(row_points, "row_points")
+        cp = _checked_points(col_points, "col_points")
         if rp.shape[1] != cp.shape[1]:
             raise ValueError("row/column point dimensions disagree")
         self.kernel = kernel

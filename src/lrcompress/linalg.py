@@ -152,12 +152,18 @@ class QRCPResult:
 
 @dataclass
 class LowRankFactors:
-    """Low-rank product ``u @ v``; ``sigma`` is set iff the factors are in
-    SVD form (u column-orthonormal, v row-orthonormal)."""
+    """Low-rank product ``u @ v`` of raw factors, with no orthogonality
+    assumed; an SVD is a ``TruncatedSVD``. ``sigma`` is always None, and
+    any other value raises ValueError: it is kept only for readers that
+    test it."""
 
     u: np.ndarray
     v: np.ndarray
-    sigma: np.ndarray | None = None
+    sigma: None = None
+
+    def __post_init__(self):
+        if self.sigma is not None:
+            raise ValueError("LowRankFactors takes no sigma: an SVD is a TruncatedSVD")
 
     @property
     def rank(self):
@@ -168,8 +174,6 @@ class LowRankFactors:
         return (self.u.shape[0], self.v.shape[1])
 
     def matrix(self):
-        if self.sigma is not None:
-            return (self.u * self.sigma) @ self.v
         return self.u @ self.v
 
 

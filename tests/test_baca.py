@@ -222,8 +222,8 @@ class TestBacaCompress:
         assert len(set(cols)) == len(cols)
         running = 0
         for block, rec in zip(history.blocks, history.records):
-            assert block.added == len(block.rows) == len(block.cols)
-            running += block.added
+            assert len(block.rows) == len(block.cols)
+            running += len(block.rows)
             assert rec.rank == running
 
     def test_norm_tracking_against_accumulated_factors(self, monkeypatch):

@@ -16,7 +16,7 @@ from lrcompress.baca import BacaConfig, baca_compress
 from lrcompress.hmerge import (
     BlockSVD,
     CostModelParams,
-    build_index_tree,
+    _leaf_ranges,
     cost_model,
     hbaca_compress,
     merge_pair_horizontal,
@@ -37,37 +37,37 @@ from lrcompress.seeding import make_rng
 
 class TestIndexTree:
     def test_even_split(self):
-        tree = build_index_tree(8, 2)
-        assert tree.leaves() == ((0, 2), (2, 4), (4, 6), (6, 8))
+        assert _leaf_ranges(8, 2) == [(0, 2), (2, 4), (4, 6), (6, 8)]
 
     def test_ceil_floor_split(self):
-        tree = build_index_tree(7, 1)
-        assert tree.leaves() == ((0, 4), (4, 7))
+        assert _leaf_ranges(7, 1) == [(0, 4), (4, 7)]
 
     def test_divisible_case(self):
-        tree = build_index_tree(5000, 3)
-        sizes = {hi - lo for lo, hi in tree.leaves()}
+        leaves = _leaf_ranges(5000, 3)
+        sizes = {hi - lo for lo, hi in leaves}
         assert sizes == {625}
-        assert len(tree.leaves()) == 8
+        assert len(leaves) == 8
 
     def test_partition_is_exact(self):
         for extent in (9, 17, 100, 257):
-            tree = build_index_tree(extent, 3)
             covered = []
-            for lo, hi in tree.leaves():
+            for lo, hi in _leaf_ranges(extent, 3):
                 covered.extend(range(lo, hi))
             assert covered == list(range(extent))
 
     def test_overpartitioned(self):
-        with pytest.raises(ValueError):
-            build_index_tree(7, 3)
+        oracle = dense_oracle(np.ones((7, 7)))
+        with pytest.raises(ValueError, match="cannot split a 7x7 matrix into 8x8 blocks"):
+            hbaca_compress(oracle, 64, BacaConfig(block_size=2, tol=1e-8))
 
     def test_parent_child_ranges(self):
-        tree = build_index_tree(21, 2)
-        for level in (1, 2):
-            for i, (lo, hi) in enumerate(tree.ranges[level]):
-                c0 = tree.ranges[level - 1][2 * i]
-                c1 = tree.ranges[level - 1][2 * i + 1]
+        # each sibling pair of one split tiles the matching range of the
+        # split one level up
+        for levels in (1, 2, 3):
+            parents = _leaf_ranges(21, levels - 1)
+            children = _leaf_ranges(21, levels)
+            for i, (lo, hi) in enumerate(parents):
+                c0, c1 = children[2 * i], children[2 * i + 1]
                 assert c0[0] == lo and c1[1] == hi and c0[1] == c1[0]
 
 
@@ -709,7 +709,7 @@ class TestDepthFirstMerges:
         cfg = BacaConfig(block_size=8, tol=1e-6, seed=1)
         hbaca_compress(oracle, n_blocks, cfg, workers=1)  # warm call
         (_, diag), peak = traced_peak(lambda: hbaca_compress(oracle, n_blocks, cfg, workers=1))
-        leaves = build_index_tree(n, 3).leaves()
+        leaves = _leaf_ranges(n, 3)
         leaf_bytes = sum(
             rank * (leaves[i][1] - leaves[i][0] + leaves[j][1] - leaves[j][0]) * 8
             for (level, i, j), rank in diag.block_ranks.items() if level == 0)

@@ -312,6 +312,24 @@ class TestInputChecks:
         with pytest.raises(ValueError, match="non-finite"):
             DenseOracle(a)
 
+    @pytest.mark.parametrize("matrix", [np.array([[1, "a"], [2, 3]], dtype=object),
+                                        np.array([["1", "2"], ["3", "4"]])])
+    def test_dense_oracle_needs_a_numeric_matrix(self, matrix):
+        with pytest.raises(TypeError, match=f"matrix must be numeric, got dtype {matrix.dtype}"):
+            DenseOracle(matrix)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["row_points", "col_points"])
+    def test_kernel_oracle_needs_finite_points(self, bad, name):
+        points = {"row_points": np.zeros((4, 2)), "col_points": np.ones((3, 2))}
+        points[name][1, 0] = bad
+        with pytest.raises(ValueError, match=f"{name} coordinates must be finite"):
+            KernelOracle(GaussianKernel(1.0), **points)
+
+    def test_kernel_oracle_needs_a_coordinate(self):
+        with pytest.raises(ValueError, match="row_points must have at least one coordinate"):
+            KernelOracle(GaussianKernel(1.0), np.zeros((4, 0)), np.zeros((3, 0)))
+
     def test_kernel_oracle_point_dimensions_must_agree(self):
         with pytest.raises(ValueError, match="dimensions disagree"):
             KernelOracle(GaussianKernel(1.0), np.zeros((4, 2)), np.ones((3, 3)))

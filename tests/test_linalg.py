@@ -435,6 +435,13 @@ class TestInputChecks:
         assert f.shape == (7, 5) and f.rank == 3
         assert np.array_equal(f.matrix(), u @ v)
 
+    def test_low_rank_factors_refuse_a_sigma(self):
+        # an SVD is a TruncatedSVD: a sigma here was read by matrix() and
+        # dropped by the recompression kernel, which looks only at the type
+        u, v = random_factors(42, 7, 5, 3)
+        with pytest.raises(ValueError, match="takes no sigma"):
+            LowRankFactors(u, v, sigma=np.array([5.0, 2.0, 1.0]))
+
 
 class TestTruncatedSVD:
     def test_outer_product(self):
